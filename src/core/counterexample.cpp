@@ -4,6 +4,7 @@
 
 #include "linalg/cone.h"
 #include "linalg/gauss.h"
+#include "util/exec_context.h"
 
 namespace bagdet {
 
@@ -55,6 +56,9 @@ BagCounterexample SynthesizeCounterexample(const InstanceAnalysis& analysis,
   Vec alpha_prime;
   Rational t;
   for (std::int64_t j = 1;; ++j) {
+    // One forced deadline check per step: each step is a full exact
+    // mat-vec over ever-longer rationals, far costlier than a clock read.
+    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("core.walk");
     t = Rational(1) + Rational(BigInt(1), BigInt::Pow(BigInt(2), j));
     Vec p_prime = Vec::Hadamard(PowVector(t, result.z), p);
     alpha_prime = cone.Coordinates(p_prime);

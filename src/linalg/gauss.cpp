@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "linalg/modular_solve.h"
-#include "util/tuning.h"
+#include "util/exec_context.h"
 
 namespace bagdet {
 
@@ -21,30 +21,6 @@ std::size_t RationalBitLength(const Rational& value) {
 /// verification); below a 3×3 the exact elimination is trivially cheap and
 /// always wins.
 bool UseModularPath(const Mat& m) { return m.rows() >= 3 && m.cols() >= 3; }
-
-/// Inverse dispatch gate. The thresholds live in the active TuningProfile;
-/// their defaults are the crossover measured on the 1-core reference host
-/// (BENCH_linalg.json): with word-size entries exact [A|I] elimination
-/// stays ahead through n ≈ 8 (its rationals never grow far), while entries
-/// of 32 bits and up flip to the multi-modular path from n = 4. A profile
-/// produced by bagdet_tune re-points the gate at the crossover of the
-/// machine actually running; either path returns bit-identical results.
-bool UseModularInverse(const Mat& m) {
-  const TuningProfile& tuning = Tuning();
-  const std::size_t n = m.rows();
-  if (n < tuning.inverse_modular_min_dim) return false;
-  if (n >= tuning.inverse_modular_always_dim) return true;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      const Rational& q = m.At(r, c);
-      if (q.numerator().BitLength() + q.denominator().BitLength() >=
-          tuning.inverse_modular_entry_bits) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -75,6 +51,10 @@ Rref ReduceToRrefExact(Mat m) {
       }
     }
     if (found == rows) continue;
+    // One forced clock read per eliminated row: the row's rational
+    // normalizations dwarf it, and a sampled checkpoint would rarely read
+    // the clock across the few dozen rows a governed caller eliminates.
+    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("linalg.exact");
     m.SwapRows(found, pivot_row);
     Rational inv = m.At(pivot_row, col).Inverse();
     for (std::size_t c = col; c < cols; ++c) m.At(pivot_row, c) *= inv;
@@ -166,21 +146,6 @@ Rational Determinant(Mat m) {
 }
 
 std::optional<Mat> Inverse(const Mat& m) {
-  if (m.rows() != m.cols()) return std::nullopt;
-  if (m.rows() == 0) return Mat(0, 0);
-  // The dedicated multi-modular inverse (per-prime inversion + CRT below
-  // ModularOptions::dixon_min_dim, Dixon p-adic lifting above it, both
-  // capped by a fresh-prime screen + exact A·A⁻¹ = I certificate) replaces
-  // the earlier generic RREF-of-[A|I] lift, whose exact verification cost
-  // as much as the elimination it saved. A nullopt means "declined OR
-  // singular" — the exact reference settles which.
-  if (UseModularInverse(m)) {
-    if (std::optional<Mat> fast = TryModularInverse(m)) return fast;
-  }
-  return InverseExact(m);
-}
-
-std::optional<Mat> InverseExact(const Mat& m) {
   if (m.rows() != m.cols()) return std::nullopt;
   const std::size_t n = m.rows();
   if (n == 0) return Mat(0, 0);

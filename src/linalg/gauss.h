@@ -2,20 +2,25 @@
 // relies on (Fact 5: orthogonal witnesses; Lemma 46: Vandermonde
 // nonsingularity; span tests behind the Main Lemma 31).
 //
-// Modular dispatch: ReduceToRref, Rank, IsNonsingular, and Inverse route
-// through the certified multi-modular driver (linalg/modular_solve.h)
-// whenever the matrix is big enough to benefit, falling back to plain
-// exact elimination when the driver declines (unlucky primes, exhausted
-// prime budget). Results are bit-for-bit identical either way — the
-// driver verifies every lifted answer exactly before returning it, with a
-// fresh-prime residual pre-check screening bad candidates in word-size
-// arithmetic first. SolveLinearSystem, NullspaceBasis, TestSpanMembership,
-// and OrthogonalWitness inherit the fast path through ReduceToRref;
+// Modular dispatch: ReduceToRref, Rank, and IsNonsingular route through
+// the certified multi-modular driver (linalg/modular_solve.h) whenever the
+// matrix is big enough to benefit, falling back to plain exact elimination
+// when the driver declines (unlucky primes, exhausted prime budget).
+// Results are bit-for-bit identical either way — the driver verifies every
+// lifted answer exactly before returning it, with a fresh-prime residual
+// pre-check screening bad candidates in word-size arithmetic first.
+// SolveLinearSystem, NullspaceBasis, TestSpanMembership, and
+// OrthogonalWitness inherit the fast path through ReduceToRref;
 // Determinant uses fraction-free Bareiss elimination for the dense-integer
-// case; Inverse dispatches to TryModularInverse (per-prime inversion + CRT
-// for small n, Dixon p-adic lifting for large n). ReduceToRrefExact and
-// InverseExact are the always-exact reference implementations (also the
-// differential-test and benchmarking baselines).
+// case. Inverse is exact Gauss–Jordan only: its one pipeline caller, the
+// SimplicialCone of the negative certificate, inverts small matrices on
+// which every modular inverse measured slower. ReduceToRrefExact is the
+// always-exact reference implementation (also the differential-test and
+// benchmarking baseline).
+//
+// Governance: the exact eliminations (ReduceToRrefExact, hence Inverse)
+// force a deadline check on the current ExecContext once per eliminated
+// row, so a governed caller trips within one row of its deadline.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -53,13 +58,9 @@ bool IsNonsingular(const Mat& m);
 /// elimination over Q otherwise.
 Rational Determinant(Mat m);
 
-/// Inverse of a square nonsingular matrix; std::nullopt when singular
-/// (modular fast path + exact fallback; see the file comment).
+/// Inverse of a square nonsingular matrix via exact Gauss–Jordan
+/// elimination on [A | I]; std::nullopt when singular or not square.
 std::optional<Mat> Inverse(const Mat& m);
-
-/// Inverse via exact fraction arithmetic only (Gauss–Jordan on [A | I]) —
-/// the reference path every modular inverse is pinned against.
-std::optional<Mat> InverseExact(const Mat& m);
 
 /// One solution x of A x = b, or std::nullopt when inconsistent. When the
 /// system is underdetermined the free variables are set to zero.

@@ -114,40 +114,6 @@ std::size_t ModMat::RankDestructive() {
   return pivot_row;
 }
 
-std::optional<ModMat> ModMat::Inverted() const {
-  const std::size_t n = rows_;
-  if (n == 0) return ModMat(zp_, 0, 0);  // The 0×0 matrix is its own inverse.
-  ModMat aug(zp_, n, 2 * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) aug.At(r, c) = At(r, c);
-    aug.At(r, n + r) = zp_->one();
-  }
-  const ModRref rref = aug.RrefInPlace();
-  // Full rank with every pivot in the left block iff pivots are 0..n-1
-  // (pivot columns are strictly increasing, so checking the last suffices).
-  if (rref.rank < n || rref.pivots[n - 1] >= n) return std::nullopt;
-  ModMat inverse(zp_, n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) inverse.At(r, c) = aug.At(r, n + c);
-  }
-  return inverse;
-}
-
-std::vector<std::uint64_t> ModMat::MulVec(
-    const std::vector<std::uint64_t>& v) const {
-  const Zp& zp = *zp_;
-  std::vector<std::uint64_t> result(rows_, 0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const std::uint64_t* row = entries_.data() + r * cols_;
-    std::uint64_t sum = 0;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      sum = zp.Add(sum, zp.Mul(row[c], v[c]));
-    }
-    result[r] = sum;
-  }
-  return result;
-}
-
 std::uint64_t ModMat::DeterminantDestructive() {
   const Zp& zp = *zp_;
   std::uint64_t det = zp.one();

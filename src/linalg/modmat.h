@@ -113,18 +113,6 @@ class ModMat {
   /// Determinant of a square matrix mod p, in Montgomery form.
   std::uint64_t DeterminantDestructive();
 
-  /// Inverse of a square matrix over Z/p — the per-prime stage of the
-  /// multi-modular inverse and the seed matrix of Dixon p-adic lifting.
-  /// Gauss–Jordan on an internal [A | I] augmentation (*this is left
-  /// untouched). Returns std::nullopt when the matrix is singular mod p
-  /// (the prime is unlucky, or the rational matrix really is singular).
-  std::optional<ModMat> Inverted() const;
-
-  /// Matrix–vector product over Z/p (entries, input and result all in
-  /// Montgomery form); `v.size()` must equal cols(). The Dixon lifting
-  /// loop applies the inverse seed to the residual every iteration.
-  std::vector<std::uint64_t> MulVec(const std::vector<std::uint64_t>& v) const;
-
  private:
   std::uint64_t* RowPtr(std::size_t r) { return entries_.data() + r * cols_; }
 

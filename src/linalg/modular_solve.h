@@ -23,10 +23,6 @@
 //   5. and report failure (unlucky primes, prime budget exhausted) so the
 //      caller can fall back to plain exact elimination.
 //
-// TryModularInverse applies the same discipline to A⁻¹ with two interior
-// strategies (per-prime inversion + CRT, or Dixon p-adic lifting) and an
-// exact A·A⁻¹ = I certificate behind the same fresh-prime screen.
-//
 // Every result returned here is therefore bit-for-bit identical to the
 // exact path; speed never trades against the paper's correctness
 // guarantees. See README.md ("Modular linear algebra") for the design.
@@ -59,10 +55,8 @@ struct ModularStats {
   /// Full exact residual certificates run. With the pre-check on, this is
   /// at most one per accepted result on any non-adversarial input.
   std::uint64_t exact_verifies = 0;
-  /// Primes folded into the CRT modulus (TryModularRref / CRT inverse).
+  /// Primes folded into the CRT modulus.
   std::uint64_t primes_used = 0;
-  /// TryModularInverse took the Dixon p-adic path instead of CRT.
-  bool used_dixon = false;
   /// The driver exhausted its prime budget (or the built-in prime table's
   /// capacity, or an injected prime list) without a verified lift and
   /// declined, handing the call to the exact fallback. Never loops, never
@@ -115,21 +109,6 @@ struct ModularOptions {
   /// and only the exact pass can reject it). Entries that divide a
   /// denominator are skipped either way.
   const std::vector<std::uint64_t>* verify_primes = nullptr;
-  /// Dimension at which TryModularInverse switches from per-prime
-  /// inversion + CRT to Dixon p-adic lifting (one inversion mod a single
-  /// prime, then digit lifting with word-size matrix–vector products).
-  /// Measured on the 1-core reference host, CRT stays 1.2–1.4× ahead of
-  /// Dixon through n = 40 at 32–256-bit entries (the shared
-  /// reconstruction/verification tail dominates before Dixon's cheaper
-  /// per-prime work can pay off — see BENCH_linalg.json), so the default
-  /// keeps practical sizes on the CRT path; Dixon's per-column fan-out
-  /// scales better with cores, so multicore deployments inverting very
-  /// large matrices can lower this — which is exactly what a bagdet_tune
-  /// profile does: the default reads the active TuningProfile (stock
-  /// profile: 64, the 1-core measurement). Tests force the Dixon path
-  /// with 1; SIZE_MAX disables it. Assigning the field overrides the
-  /// profile for this call.
-  std::size_t dixon_min_dim = Tuning().dixon_min_dim;
   /// When non-null, the driver accumulates work counters here (see
   /// ModularStats). Not reset on entry; callers zero it themselves.
   ModularStats* stats = nullptr;
@@ -175,21 +154,6 @@ GovernedRref TryModularRrefGoverned(const Mat& m, ExecContext& exec,
 /// rejection power (see ModularOptions::verify_precheck_primes).
 bool ModularResidualPreCheck(const Mat& a, const Rref& cand,
                              const std::vector<std::uint64_t>& primes);
-
-/// Certified multi-modular inverse of a square rational matrix. Two
-/// strategies share a verification tail: per-prime Gauss–Jordan inversion
-/// + CRT residue accumulation + per-column rational reconstruction below
-/// ModularOptions::dixon_min_dim, and Dixon p-adic lifting (one inversion
-/// mod a single prime, then per-column digit lifting with word-size
-/// matrix–vector products and minor-bounded BigInt residual updates)
-/// at or above it. Every candidate passes the fresh-prime residual screen
-/// and then an exact A·A⁻¹ = I check (per-column, denominator-cleared
-/// integer arithmetic) before being returned, so results are bit-for-bit
-/// identical to InverseExact. Returns std::nullopt when the matrix is not
-/// square, appears singular mod every probed prime (the exact fallback
-/// settles it), or verification never succeeds within the prime budget.
-std::optional<Mat> TryModularInverse(const Mat& m,
-                                     const ModularOptions& options = {});
 
 /// Single-prime rank probe. rank_p(A) <= rank_Q(A) for every prime that
 /// does not divide a denominator, so the returned value is a *certified

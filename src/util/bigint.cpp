@@ -404,33 +404,6 @@ std::uint64_t BigInt::Mod(std::uint64_t m) const {
   return r;
 }
 
-std::uint64_t BigInt::DivModU64(std::uint64_t divisor) {
-  if (divisor == 0 || divisor >= (1ull << 63)) {
-    throw std::domain_error("BigInt::DivModU64: divisor must be in (0, 2^63)");
-  }
-  std::uint64_t remainder;
-  if (IsSmall()) {
-    remainder = small_ % divisor;
-    small_ /= divisor;
-  } else {
-    // Schoolbook short division over the base-2^32 limbs, in place (the
-    // Dixon lifting loop divides whole residual vectors by a 62-bit prime
-    // on every iteration). The partial dividend (remainder << 32 | limb)
-    // is below 2^95 and each quotient limb below 2^32 because
-    // remainder < divisor.
-    remainder = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const unsigned __int128 cur =
-          (static_cast<unsigned __int128>(remainder) << 32) | limbs_[i];
-      limbs_[i] = static_cast<std::uint32_t>(cur / divisor);
-      remainder = static_cast<std::uint64_t>(cur % divisor);
-    }
-    CompactInPlace();
-  }
-  if (IsZero()) negative_ = false;
-  return remainder;
-}
-
 BigInt BigInt::Gcd(BigInt a, BigInt b) {
   a.negative_ = false;
   b.negative_ = false;

@@ -18,8 +18,8 @@
 // representation), results are computed into per-thread arena scratch and
 // committed back through `CommitSpan`, which reuses the value's retained
 // limb capacity. In steady state the multi-modular reconstruction loops
-// (CRT folds, Wang reconstruction, Dixon combines) therefore perform zero
-// heap allocations; the fused `MulAdd`/`MulSub` cover their dominant
+// (CRT folds, Wang reconstruction) therefore perform zero heap
+// allocations; the fused `MulAdd`/`MulSub` cover their dominant
 // `x ± a*b` shape without materializing the product as a temporary.
 
 #ifndef BAGDET_UTIL_BIGINT_H_
@@ -107,9 +107,9 @@ class BigInt {
 
   /// Fused multiply-accumulate: `*this += a * b` without materializing the
   /// product as a temporary BigInt. This is the shape of the CRT residue
-  /// fold (`x += t·M`) and of Wang reconstruction / Dixon residual updates
-  /// (via MulSub); the product and sum run entirely in per-thread arena
-  /// scratch. `a` or `b` may alias `*this`.
+  /// fold (`x += t·M`) and of Wang reconstruction (via MulSub); the
+  /// product and sum run entirely in per-thread arena scratch. `a` or `b`
+  /// may alias `*this`.
   BigInt& MulAdd(const BigInt& a, const BigInt& b);
 
   /// Fused multiply-subtract: `*this -= a * b`. `a` or `b` may alias
@@ -122,15 +122,6 @@ class BigInt {
   /// directly instead of routing through a BigInt division. Requires
   /// 0 < m < 2^63; throws std::domain_error otherwise.
   std::uint64_t Mod(std::uint64_t m) const;
-
-  /// In-place truncated division by a word-size divisor: *this becomes the
-  /// quotient (rounded toward zero) and the magnitude of the remainder is
-  /// returned (the remainder's sign follows the original dividend, as with
-  /// operator%). The Dixon p-adic lifting loop divides whole residual
-  /// vectors by a 62-bit prime on every iteration, so this walks the limbs
-  /// once instead of routing through the general DivMod. Requires
-  /// 0 < divisor < 2^63; throws std::domain_error otherwise.
-  std::uint64_t DivModU64(std::uint64_t divisor);
 
   /// `base` raised to `exponent` (exponent >= 0). Pow(0, 0) == 1, matching
   /// the paper's convention 0^0 = 1.

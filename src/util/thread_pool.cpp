@@ -123,7 +123,14 @@ void ThreadPool::ParallelFor(std::size_t n,
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == n;
   });
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the error out of the shared state so the exception object is
+  // freed on this thread, after its handler. A helper task can hold the
+  // last reference to `state`; had it freed the exception, the ordering
+  // would rest on the C++ runtime's uninstrumented reference count, which
+  // ThreadSanitizer cannot see, and it would report a race.
+  std::exception_ptr error = std::exchange(state->error, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 std::size_t DefaultThreadCount() {

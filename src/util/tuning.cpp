@@ -25,14 +25,6 @@ struct KeySpec {
 };
 
 const KeySpec kKeys[] = {
-    {"inverse_modular_min_dim", nullptr, &TuningProfile::inverse_modular_min_dim,
-     1, 1u << 20},
-    {"inverse_modular_always_dim", nullptr,
-     &TuningProfile::inverse_modular_always_dim, 1, 1u << 20},
-    {"inverse_modular_entry_bits", nullptr,
-     &TuningProfile::inverse_modular_entry_bits, 1, 1u << 30},
-    {"dixon_min_dim", nullptr, &TuningProfile::dixon_min_dim, 0,
-     std::numeric_limits<std::size_t>::max()},
     {"modular_num_threads", nullptr, &TuningProfile::modular_num_threads, 0,
      4096},
     {"order_search_max_atoms", nullptr, &TuningProfile::order_search_max_atoms,
@@ -135,13 +127,6 @@ std::optional<TuningError> ValidateTuningProfile(const TuningProfile& profile) {
       return MakeError(TuningErrorCode::kOutOfRange, 0, msg.str());
     }
   }
-  if (profile.inverse_modular_min_dim > profile.inverse_modular_always_dim) {
-    std::ostringstream msg;
-    msg << "inverse_modular_min_dim (" << profile.inverse_modular_min_dim
-        << ") > inverse_modular_always_dim ("
-        << profile.inverse_modular_always_dim << ")";
-    return MakeError(TuningErrorCode::kOutOfRange, 0, msg.str());
-  }
   return std::nullopt;
 }
 
@@ -200,10 +185,6 @@ std::optional<TuningProfile> ParseTuningProfile(const std::string& text,
     }
     SetField(&profile, *key, value);
   }
-  if (std::optional<TuningError> cross = ValidateTuningProfile(profile)) {
-    if (error != nullptr) *error = *cross;
-    return std::nullopt;
-  }
   return profile;
 }
 
@@ -246,9 +227,15 @@ namespace {
 std::atomic<const TuningProfile*> g_profile{nullptr};
 std::mutex g_profile_mu;  // Serializes writers only.
 std::once_flag g_env_once;
+/// Every snapshot ever published, guarded by g_profile_mu. Keeps replaced
+/// snapshots reachable, so leak checkers see retention, not a leak. Never
+/// destroyed, so no snapshot is freed while a static destructor may still
+/// read it through Tuning().
+auto* const g_snapshots = new std::vector<const TuningProfile*>;
 
 void PublishProfile(const TuningProfile& profile) {
-  g_profile.store(new TuningProfile(profile), std::memory_order_release);
+  g_snapshots->push_back(new TuningProfile(profile));
+  g_profile.store(g_snapshots->back(), std::memory_order_release);
 }
 
 std::optional<TuningError> ResolveFromEnv() {

@@ -303,6 +303,63 @@ TEST_F(GovernedTest, TrippedRequestLeavesNextRequestUnaffected) {
   EXPECT_EQ(after.result->Summary(), baseline.Summary());
 }
 
+// --- Deadline contract on the certificate path ------------------------------
+//
+// On the cycle ramps k = 8, 9 nearly all the time goes to counterexample
+// synthesis: the exact inverse of the cone matrix and the Lemma-57
+// perturbation walk. Under any deadline a run must either trip with a typed
+// status naming its kernel, or return kOk close to its deadline with the
+// ungoverned decision. A run that misses its deadline and still reports kOk
+// breaks the contract.
+
+/// Full-certificate equality: verdict, Summary(), and every coordinate of
+/// the counterexample.
+void ExpectSameDecision(const DeterminacyResult& got,
+                        const DeterminacyResult& want) {
+  EXPECT_EQ(got.determined, want.determined);
+  EXPECT_EQ(got.Summary(), want.Summary());
+  ASSERT_EQ(got.counterexample.has_value(), want.counterexample.has_value());
+  if (!want.counterexample.has_value()) return;
+  const BagCounterexample& a = *got.counterexample;
+  const BagCounterexample& b = *want.counterexample;
+  EXPECT_EQ(a.evaluation_matrix, b.evaluation_matrix);
+  EXPECT_EQ(a.z, b.z);
+  EXPECT_EQ(a.t, b.t);
+  EXPECT_EQ(a.coeffs_d, b.coeffs_d);
+  EXPECT_EQ(a.coeffs_d_prime, b.coeffs_d_prime);
+}
+
+TEST_F(GovernedTest, CertificatePathNeverReturnsOkPastItsDeadline) {
+  constexpr double kOkSlackMs = 20.0;
+  for (const std::size_t k : {std::size_t{8}, std::size_t{9}}) {
+    const SmallInstance inst = MakeUndetermined(k);
+    const DeterminacyResult baseline =
+        DecideBagDeterminacy(inst.views, inst.query);
+    ASSERT_TRUE(baseline.counterexample.has_value());
+    for (const std::uint64_t deadline_ms : {1, 2, 5, 10, 20}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " deadline_ms=" + std::to_string(deadline_ms));
+      const auto start = std::chrono::steady_clock::now();
+      ExecContext exec{ExecLimits{deadline_ms, /*max_memory_bytes=*/0}};
+      GovernedDecision governed = DecideBagDeterminacyGoverned(
+          inst.views, inst.query, DeterminacyOptions(), exec);
+      const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count();
+      if (governed.status.code == ExecCode::kDeadlineExceeded) {
+        EXPECT_FALSE(governed.status.kernel.empty());
+        EXPECT_FALSE(governed.result.has_value());
+        continue;
+      }
+      ASSERT_EQ(governed.status.code, ExecCode::kOk)
+          << governed.status.ToString();
+      EXPECT_LE(elapsed_ms, static_cast<double>(deadline_ms) + kOkSlackMs);
+      ASSERT_TRUE(governed.result.has_value());
+      ExpectSameDecision(*governed.result, baseline);
+    }
+  }
+}
+
 // --- Typed distinguisher/basis outcomes (no exceptions on bound
 // exhaustion) ----------------------------------------------------------------
 

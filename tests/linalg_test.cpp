@@ -2,6 +2,7 @@
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
+#include "test_matrices.h"
 #include "util/rng.h"
 
 namespace bagdet {
@@ -195,6 +196,25 @@ TEST(GaussTest, VandermondeNonsingularLemma46) {
 
 class GaussRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Inverse's contract on one square matrix: nullopt exactly when the
+/// matrix is singular (cross-checked against the Bareiss determinant and
+/// the modular nonsingularity probe), otherwise a two-sided inverse that
+/// also agrees with SolveLinearSystem.
+void ExpectInverseConsistent(const Mat& m, Rng* rng) {
+  const std::size_t n = m.rows();
+  std::optional<Mat> inv = Inverse(m);
+  EXPECT_EQ(inv.has_value(), IsNonsingular(m));
+  EXPECT_EQ(inv.has_value(), !Determinant(m).IsZero());
+  if (!inv.has_value()) return;
+  EXPECT_EQ(m.Multiply(*inv), Mat::Identity(n));
+  EXPECT_EQ(inv->Multiply(m), Mat::Identity(n));
+  Vec b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = Q(rng->Range(-9, 9));
+  std::optional<Vec> x = SolveLinearSystem(m, b);
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(*x, inv->Apply(b));
+}
+
 TEST_P(GaussRandomTest, InverseAndSolveConsistency) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 30; ++iter) {
@@ -205,17 +225,30 @@ TEST_P(GaussRandomTest, InverseAndSolveConsistency) {
         m.At(r, c) = Q(rng.Range(-5, 5));
       }
     }
-    std::optional<Mat> inv = Inverse(m);
-    EXPECT_EQ(inv.has_value(), IsNonsingular(m));
-    EXPECT_EQ(inv.has_value(), !Determinant(m).IsZero());
-    if (inv.has_value()) {
-      EXPECT_EQ(m.Multiply(*inv), Mat::Identity(n));
-      Vec b(n);
-      for (std::size_t i = 0; i < n; ++i) b[i] = Q(rng.Range(-9, 9));
-      std::optional<Vec> x = SolveLinearSystem(m, b);
-      ASSERT_TRUE(x.has_value());
-      EXPECT_EQ(*x, inv->Apply(b));
+    ExpectInverseConsistent(m, &rng);
+  }
+  // Wide entries and structured shapes up to n = 12: dense 128- and
+  // 256-bit integers (the cone matrices of the negative certificate carry
+  // 55–182-bit entries), ill-conditioned Hilbert-like rationals, sparse
+  // integers, and exactly low-rank wide matrices that must be rejected.
+  // The dense n = 12 case uses 32-bit entries: the exact products that
+  // check a 12×12 inverse with 128-bit entries take seconds.
+  for (const std::size_t n : {std::size_t{3}, std::size_t{5},
+                              std::size_t{12}}) {
+    SCOPED_TRACE(n);
+    if (n < 12) {
+      ExpectInverseConsistent(testmat::RandomBigMatrix(&rng, n, n, 4), &rng);
+      ExpectInverseConsistent(testmat::RandomBigMatrix(&rng, n, n, 8), &rng);
+    } else {
+      ExpectInverseConsistent(testmat::RandomBigMatrix(&rng, n, n, 1), &rng);
     }
+    ExpectInverseConsistent(testmat::HilbertLikeMatrix(n, rng.Below(4)), &rng);
+    ExpectInverseConsistent(
+        testmat::RandomSparseMatrix(&rng, n, n, 1, 3, -9, 9), &rng);
+    const Mat low_rank =
+        testmat::RandomBigLowRankMatrix(&rng, n, 1 + rng.Below(n - 1), 4);
+    EXPECT_FALSE(Inverse(low_rank).has_value());
+    ExpectInverseConsistent(low_rank, &rng);
   }
 }
 

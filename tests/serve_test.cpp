@@ -318,6 +318,25 @@ TEST_F(ServeTest, DeadlineTripDegradesToVerdictOnly) {
   EXPECT_EQ(resp2.retries, 0u);
 }
 
+TEST_F(ServeTest, SynthesisDeadlineDegradesToVerdictOnly) {
+  // On the k = 9 cycle ramp the verdict takes a few milliseconds and the
+  // certificate (cone inverse + perturbation walk) far longer, so a 10 ms
+  // deadline trips inside synthesis. The verdict-only tier then re-runs
+  // under a fresh 10 ms budget and answers.
+  DeterminacyService service;
+  ServeRequest req = MakeUndeterminedRequest(9);
+  req.options.want_counterexample = true;
+  req.limits.deadline_ms = 10;
+  ServeResponse resp = service.Call(req);
+  EXPECT_EQ(resp.outcome, ServeOutcome::kDegraded);
+  EXPECT_TRUE(resp.degraded);
+  EXPECT_EQ(resp.status.code, ExecCode::kDeadlineExceeded);
+  EXPECT_EQ(resp.attempts, 2u);
+  ASSERT_TRUE(resp.result.has_value());
+  EXPECT_FALSE(resp.result->determined);
+  EXPECT_FALSE(resp.result->counterexample.has_value());
+}
+
 // --- Persistent pool, cache reuse, generations ------------------------------
 
 TEST_F(ServeTest, RepeatedRequestsHitWarmCache) {

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -57,10 +56,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
   // The stock profile IS the pre-profile constant table; if one of these
   // moves, pre-PR behavior is no longer the no-profile behavior.
   const TuningProfile& t = Tuning();
-  EXPECT_EQ(t.inverse_modular_min_dim, 4u);
-  EXPECT_EQ(t.inverse_modular_always_dim, 9u);
-  EXPECT_EQ(t.inverse_modular_entry_bits, 32u);
-  EXPECT_EQ(t.dixon_min_dim, 64u);
   EXPECT_EQ(t.modular_num_threads, 0u);
   EXPECT_EQ(t.order_search_max_atoms, 12u);
   EXPECT_EQ(t.domain_min_work, static_cast<std::uint64_t>(1) << 12);
@@ -76,7 +71,7 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
 
 TEST_F(TuningTest, SerializeParseRoundTrip) {
   TuningProfile p;
-  p.dixon_min_dim = 48;
+  p.modular_num_threads = 3;
   p.order_search_max_atoms = 9;
   p.domain_min_work = 123456;
   p.parallel_split_chunks_per_lane = 4;
@@ -93,23 +88,23 @@ TEST_F(TuningTest, CommentsWhitespaceAndPartialProfilesParse) {
   std::optional<TuningProfile> parsed = ParseTuningProfile(
       "# calibrated on host-x\n"
       "\n"
-      "  dixon_min_dim =  32 \n"
+      "  domain_min_work =  32 \n"
       "\t# trailing comment line\n",
       &error);
   ASSERT_TRUE(parsed.has_value()) << error.ToString();
-  EXPECT_EQ(parsed->dixon_min_dim, 32u);
+  EXPECT_EQ(parsed->domain_min_work, 32u);
   // Unmentioned keys keep their defaults.
   EXPECT_EQ(parsed->order_search_max_atoms, 12u);
 }
 
 TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
   const char* cases[] = {
-      "dixon_min_dim\n",               // No '='.
-      "dixon_min_dim = \n",            // Empty value.
-      "dixon_min_dim = abc\n",         // Not a number.
-      "dixon_min_dim = -3\n",          // Signed.
-      "dixon_min_dim = 0x10\n",        // Hex.
-      "dixon_min_dim = 99999999999999999999999999\n",  // u64 overflow.
+      "domain_min_work\n",             // No '='.
+      "domain_min_work = \n",          // Empty value.
+      "domain_min_work = abc\n",       // Not a number.
+      "domain_min_work = -3\n",        // Signed.
+      "domain_min_work = 0x10\n",      // Hex.
+      "domain_min_work = 99999999999999999999999999\n",  // u64 overflow.
   };
   for (const char* text : cases) {
     TuningError error{};
@@ -120,13 +115,15 @@ TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
 }
 
 TEST_F(TuningTest, UnknownKeyIsTyped) {
+  // A retired key: profiles written while the multi-modular inverse existed
+  // still carry it, and must be rejected by name rather than half-applied.
   TuningError error{};
-  EXPECT_FALSE(
-      ParseTuningProfile("dixon_min_dim = 8\ndixon_mindim = 8\n", &error)
-          .has_value());
+  EXPECT_FALSE(ParseTuningProfile(
+                   "order_search_max_atoms = 8\ndixon_min_dim = 8\n", &error)
+                   .has_value());
   EXPECT_EQ(error.code, TuningErrorCode::kUnknownKey);
   EXPECT_EQ(error.line, 2);
-  EXPECT_NE(error.message.find("dixon_mindim"), std::string::npos);
+  EXPECT_NE(error.message.find("dixon_min_dim"), std::string::npos);
 }
 
 TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
@@ -138,10 +135,7 @@ TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
       {"order_search_max_atoms = 17\n", 1},      // Engine hard cap is 16.
       {"parallel_split_chunks_per_lane = 0\n", 1},
       {"hom_cache_max_entries = 0\n", 1},
-      {"inverse_modular_entry_bits = 0\n", 1},
       {"num_threads = 100000\n", 1},
-      // Cross-field constraint: reported against the whole file (line 0).
-      {"inverse_modular_min_dim = 10\ninverse_modular_always_dim = 6\n", 0},
   };
   for (const Case& c : cases) {
     TuningError error{};
@@ -168,20 +162,20 @@ TEST_F(TuningTest, MissingFileIsIoErrorAndInvalidSetIsRejected) {
 
 TEST_F(TuningTest, EnvVarRoundTrip) {
   TuningProfile p;
-  p.dixon_min_dim = 24;
+  p.modular_num_threads = 3;
   p.order_search_max_atoms = 8;
   p.hom_cache_max_bytes = 1u << 20;
   const std::string path = WriteTempProfile(SerializeTuningProfile(p), "env");
   ASSERT_EQ(::setenv("BAGDET_TUNING_PROFILE", path.c_str(), 1), 0);
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().dixon_min_dim, 24u);
+  EXPECT_EQ(Tuning().modular_num_threads, 3u);
   EXPECT_EQ(Tuning().order_search_max_atoms, 8u);
   EXPECT_EQ(Tuning().hom_cache_max_bytes, 1u << 20);
 
   // Unset → defaults restored.
   ::unsetenv("BAGDET_TUNING_PROFILE");
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().dixon_min_dim, 64u);
+  EXPECT_EQ(Tuning().modular_num_threads, 0u);
 }
 
 TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
@@ -199,24 +193,19 @@ TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
   error = ReloadTuningFromEnv();
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->code, TuningErrorCode::kIoError);
-  EXPECT_EQ(Tuning().dixon_min_dim, 64u);
+  EXPECT_EQ(Tuning().order_search_max_atoms, 12u);
 }
 
 // --- Dispatch-only differential -------------------------------------------
 //
 // Two adversarial profiles bracketing the stock one: kAllFast forces every
-// gated fast path on (modular from 1×1, Dixon always, domains + order
-// search + splitting always, max oversubscription, starved cache), kAllSlow
-// forces every gate off (exact-first inverse through n=2^20, CRT only, no
-// order search, huge engage thresholds, serial hom). Results must be
-// bit-identical across all three.
+// gated fast path on (domains + order search + splitting always, max
+// oversubscription, starved cache), kAllSlow forces every gate off (no
+// order search, huge engage thresholds, serial modular fold and hom).
+// Results must be bit-identical across all three.
 
 TuningProfile AllFastProfile() {
   TuningProfile p;
-  p.inverse_modular_min_dim = 1;
-  p.inverse_modular_always_dim = 1;
-  p.inverse_modular_entry_bits = 1;
-  p.dixon_min_dim = 1;            // Dixon path from n=1.
   p.order_search_max_atoms = 16;  // Engine hard cap.
   p.domain_min_work = 0;          // Always build domains.
   p.parallel_split_min_work = 0;  // Split whenever a second lane exists.
@@ -228,10 +217,6 @@ TuningProfile AllFastProfile() {
 
 TuningProfile AllSlowProfile() {
   TuningProfile p;
-  p.inverse_modular_min_dim = 1u << 20;  // Exact inverse always.
-  p.inverse_modular_always_dim = 1u << 20;
-  p.inverse_modular_entry_bits = 1u << 29;
-  p.dixon_min_dim = std::numeric_limits<std::size_t>::max();  // CRT always.
   p.order_search_max_atoms = 0;   // Greedy order only.
   p.domain_min_work = 1ull << 40; // Domain layer never engages.
   p.parallel_split_min_work = 1ull << 40;
@@ -265,8 +250,9 @@ TEST_F(TuningTest, ExtremeProfilesKeepLinalgBitIdentical) {
   Rng rng(777);
   const Mat small = testmat::RandomIntMatrix(&rng, 5, 5, -9, 9);
   const Mat big = testmat::RandomBigMatrix(&rng, 6, 6, 4);  // 128-bit.
-  const std::optional<Mat> inv_small_ref = InverseExact(small);
-  const std::optional<Mat> inv_big_ref = InverseExact(big);
+  // References under the stock profile (SetUp restored it).
+  const std::optional<Mat> inv_small_ref = Inverse(small);
+  const std::optional<Mat> inv_big_ref = Inverse(big);
   const Rref rref_ref = ReduceToRrefExact(big);
   for (const TuningProfile& p :
        {TuningProfile{}, AllFastProfile(), AllSlowProfile()}) {
