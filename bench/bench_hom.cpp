@@ -91,21 +91,14 @@ BENCHMARK(BM_InjectiveHoms)->Args({3, 6})->Args({4, 7})->Args({5, 8});
 
 // --- Domain core (PR-7) ablations -------------------------------------------
 //
-// The `domain_core` and `parallel_split` sections of BENCH_hom.json come
-// from these: the PR-1 baseline is the engine with domains, order search,
-// and splitting all off.
+// The `domain_core` section of BENCH_hom.json comes from these: the PR-1
+// baseline is the engine with domains and order search both off, measured
+// against the default engine.
 
 DpOptions Pr1Options() {
   DpOptions options;
   options.use_domains = false;
   options.order_search_max_atoms = 0;
-  options.num_threads = 1;
-  return options;
-}
-
-DpOptions DomainSerialOptions() {
-  DpOptions options;
-  options.num_threads = 1;  // Isolate the domain layer from the split.
   return options;
 }
 
@@ -119,7 +112,7 @@ void BM_DenseDigraphDomainCore(benchmark::State& state) {
   Structure from = RandomConnectedStructure(schema, 5, &rng, 3, 4);
   Structure to = RandomStructure(schema, 24, &rng, 3, 4);
   const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
+      state.range(0) == 0 ? Pr1Options() : DpOptions();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CountHoms(from, to, options));
   }
@@ -156,7 +149,7 @@ void BM_HighArityDomainCore(benchmark::State& state) {
   from.AddFact(0, {2, 3, 4});
   from.AddFact(1, {1, 3, 4, 0});
   const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
+      state.range(0) == 0 ? Pr1Options() : DpOptions();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CountHoms(from, to, options));
   }
@@ -171,32 +164,13 @@ void BM_SmallStructureFastPath(benchmark::State& state) {
   Structure path = PathGraph(schema, 3);
   Structure clique = Clique(schema, 4);
   const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DomainSerialOptions();
+      state.range(0) == 0 ? Pr1Options() : DpOptions();
   for (auto _ : state) {
     benchmark::DoNotOptimize(CountHoms(path, clique, options));
   }
   state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
 }
 BENCHMARK(BM_SmallStructureFastPath)->Arg(0)->Arg(1);
-
-/// Parallel single-count split: one big count partitioned across the
-/// pool. Sweeps the lane count; 1 lane = the serial engine, so the sweep
-/// doubles as the split-overhead measurement. Bit-identity across the
-/// sweep is asserted by hom_domain_test; this measures it.
-void BM_CountHomsSplit(benchmark::State& state) {
-  auto schema = GraphSchema();
-  Structure path = PathGraph(schema, 12);
-  Structure clique = Clique(schema, 48);
-  DpOptions options;
-  options.num_threads = static_cast<std::size_t>(state.range(0));
-  options.parallel_split_min_work = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(path, clique, options));
-  }
-  state.SetLabel("threads=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_CountHomsSplit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
 
 void BM_MultiComponentDecomposition(benchmark::State& state) {
   // Lemma 4(5) decomposition: many small components multiply.

@@ -30,9 +30,9 @@ Baseline format::
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-dispatch-sensitive sweeps (modular thread sweep, hom split sweep, decide
-loop), not every microbenchmark, so a refactor adding benches does not
-invalidate baselines.
+dispatch-sensitive sweeps (modular thread sweep, decide loop), not every
+microbenchmark, so a refactor adding benches does not invalidate
+baselines.
 """
 
 import argparse
@@ -44,7 +44,6 @@ import sys
 PINNED_PREFIXES = (
     "BM_ModularRrefManyPrimes",
     "BM_ModularInverse",
-    "BM_CountHomsSplit",
     "BM_DecideDetermined",
 )
 
@@ -196,7 +195,7 @@ def cmd_selftest(_args):
     base_times = {
         "BM_ModularRrefManyPrimes/12/4": {"real_time_ns": 1e6,
                                           "cpu_time_ns": 1e6},
-        "BM_CountHomsSplit/4": {"real_time_ns": 2e6, "cpu_time_ns": 2e6},
+        "BM_DecideDetermined/4": {"real_time_ns": 2e6, "cpu_time_ns": 2e6},
     }
     baseline = make_baseline("selftest", "selftest", base_times,
                              DEFAULT_TOLERANCE)
@@ -228,7 +227,7 @@ def cmd_selftest(_args):
         return 1
 
     missing = dict(slowed)
-    del missing["BM_CountHomsSplit/4"]
+    del missing["BM_DecideDetermined/4"]
     missing["BM_ModularRrefManyPrimes/12/4"] = base_times[
         "BM_ModularRrefManyPrimes/12/4"]
     failures, _ = check(baseline, missing)

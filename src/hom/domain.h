@@ -69,11 +69,6 @@ class DomainModel {
   /// exists and callers should answer 0 without searching.
   bool InitialDomains(DomainSet* doms) const;
 
-  /// Re-runs the atom-support fixpoint over all atoms (used after an
-  /// external domain restriction, e.g. a parallel-split chunk). Returns
-  /// false iff a domain empties.
-  bool Propagate(DomainSet* doms) const;
-
   /// Binds v ↦ image: narrows domain(v) to the singleton and re-supports
   /// the atoms containing v (one round, no cascade — the next binding
   /// propagates again). Returns false iff the image is not in domain(v) or
@@ -89,6 +84,10 @@ class DomainModel {
     std::vector<Element> vars;
     std::vector<std::uint32_t> var_slot;
   };
+
+  /// Runs the atom-support fixpoint over all atoms. Returns false iff a
+  /// domain empties.
+  bool Propagate(DomainSet* doms) const;
 
   /// Recomputes the supported domain of every variable of atom `a` and
   /// intersects it in. Appends shrunk variables to `changed` (when

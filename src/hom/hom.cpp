@@ -9,7 +9,6 @@
 #include "structs/index.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 
@@ -227,8 +226,8 @@ std::vector<Task> PlanTasks(const Structure& from, const DpOptions& options,
 /// the positional occupancy — minimized over the step's bound positions
 /// (|facts| itself when the atom shares no live variable). The chain
 /// catches functional targets (unit buckets) that the uniform product
-/// overshoots by orders of magnitude. Drives the domain gate, the order
-/// search trigger, and the parallel-split decision — never correctness.
+/// overshoots by orders of magnitude. Drives the domain gate and the order
+/// search trigger — never correctness.
 double EstimateDpWork(const std::vector<Task>& plan, std::size_t num_vars,
                       const DomainSet* doms, const Structure& to) {
   const std::size_t target_size = to.DomainSize();
@@ -329,8 +328,7 @@ bool DomainGate(const std::vector<Task>& plan, const Structure& from,
 /// True when the atom-support fixpoint pruned nothing: every variable can
 /// still map to every target element. Such domains carry no information —
 /// per-candidate tests and per-binding propagation can only re-derive
-/// them — so callers drop the model (the parallel split can still
-/// partition a full domain).
+/// them — so callers drop the model.
 bool AllDomainsFull(const DomainSet& doms, std::size_t target_size) {
   for (std::size_t v = 0; v < doms.num_vars(); ++v) {
     if (doms.domain(static_cast<Element>(v)).Count() != target_size) {
@@ -624,8 +622,7 @@ class FlatTable {
 /// Runs the variable-elimination DP over a fixed plan. `doms` (optional)
 /// supplies pre-pruned candidate domains: any candidate fact carrying an
 /// out-of-domain value at a yet-unbound position is rejected before it can
-/// insert a table entry — this is also what restricts a parallel-split
-/// chunk to its slice of the split variable's domain.
+/// insert a table entry.
 BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
                  const Structure& to, const DomainSet* doms) {
   const StructureIndex& to_index = to.Index();
@@ -789,12 +786,8 @@ BigInt RunDpPlan(const std::vector<Task>& plan, const Structure& component,
 /// elimination: a count-annotated join plan over the atoms, projecting out
 /// every variable after its last use. Unlike enumeration this runs in time
 /// polynomial in the table sizes, not in the (possibly astronomical)
-/// number of homomorphisms. The domain layer pre-prunes candidates, the
-/// subset-DP order search picks the plan, and counts whose estimated work
-/// clears the split threshold are partitioned across the global ThreadPool
-/// by slicing the first-bound variable's domain — per-chunk sub-counts are
-/// folded in chunk order, so the result is bit-identical at any thread
-/// count.
+/// number of homomorphisms. The domain layer pre-prunes candidates and the
+/// subset-DP order search picks the plan; the plan then runs once, serially.
 BigInt CountComponent(const Structure& component, const Structure& to,
                       const DpOptions& options) {
   if (component.DomainSize() == 0) {
@@ -808,94 +801,23 @@ BigInt CountComponent(const Structure& component, const Structure& to,
     // Isolated element: any image works.
     return BigInt(static_cast<std::int64_t>(to.DomainSize()));
   }
-  std::optional<DomainModel> model;
-  DomainSet doms;
-  bool pruned = true;
   std::vector<Task> plan = PlanTasks(component, options, nullptr, to);
   // The domain layer's fixed cost (model wiring + atom-support fixpoint)
   // only amortizes on plans with real work; tiny components keep the
   // bare PR-1 path.
   if (DomainGate(plan, component, to, options)) {
-    model.emplace(component, to);
-    if (!model->InitialDomains(&doms)) return BigInt(0);
-    if (AllDomainsFull(doms, to.DomainSize())) {
-      // Nothing pruned: skip the per-candidate domain tests in the DP
-      // (uniform weights also make a re-plan a no-op). The model stays
-      // alive solely so the parallel split can partition a full domain.
-      pruned = false;
-    } else {
+    DomainSet doms;
+    if (!DomainModel(component, to).InitialDomains(&doms)) return BigInt(0);
+    // When nothing was pruned the domains are dropped: the DP's
+    // per-candidate tests could only re-derive them, and uniform weights
+    // make a re-plan a no-op.
+    if (!AllDomainsFull(doms, to.DomainSize())) {
       // Re-plan with the pruned per-variable weights.
       plan = PlanTasks(component, options, &doms, to);
+      return RunDpPlan(plan, component, to, &doms);
     }
   }
-  const DomainSet* doms_ptr =
-      model.has_value() && pruned ? &doms : nullptr;
-  if (model.has_value() && options.num_threads != 1) {
-    const std::size_t lanes = options.num_threads != 0
-                                  ? options.num_threads
-                                  : GlobalThreadPool().num_workers() + 1;
-    const double est_work =
-        EstimateDpWork(plan, component.DomainSize(), doms_ptr, to);
-    if (lanes > 1 && est_work >= options.parallel_split_min_work) {
-      // Split variable: among the variables of the first planned atom (all
-      // bound — and, when last-used there, eliminated — at step 0), the
-      // one with the largest pruned domain; ties break to the smallest id.
-      Element split_var = kUnassigned;
-      std::size_t split_count = 0;
-      for (const Task& task : plan) {
-        if (!task.is_atom || task.atom.empty()) continue;
-        for (Element v : task.atom) {
-          const std::size_t count = doms.domain(v).Count();
-          if (split_var == kUnassigned || count > split_count) {
-            split_var = v;
-            split_count = count;
-          }
-        }
-        break;
-      }
-      if (split_var != kUnassigned && split_count >= 2) {
-        // Chunk granularity: chunks_per_lane > 1 oversubscribes the lanes
-        // so uneven slices rebalance through the pool's shared index. The
-        // fixed-order fold below makes every granularity bit-identical.
-        const std::size_t chunks_per_lane =
-            options.parallel_split_chunks_per_lane > 0
-                ? options.parallel_split_chunks_per_lane
-                : 1;
-        const std::size_t num_chunks =
-            std::min(lanes * chunks_per_lane, split_count);
-        // Chunk c owns the set bits with ordinal in [c*n/k, (c+1)*n/k).
-        std::vector<std::size_t> bits;
-        bits.reserve(split_count);
-        for (std::size_t b = doms.domain(split_var).FindFirst();
-             b != SVOBitset::npos;
-             b = doms.domain(split_var).FindNext(b + 1)) {
-          bits.push_back(b);
-        }
-        std::vector<BigInt> sub_counts(num_chunks);
-        GlobalThreadPool().ParallelFor(
-            num_chunks,
-            [&](std::size_t c) {
-              BAGDET_FAILPOINT("hom/domain_split");
-              ExecCheckPoint("hom.dp");
-              const std::size_t begin = c * bits.size() / num_chunks;
-              const std::size_t end = (c + 1) * bits.size() / num_chunks;
-              DomainSet chunk = doms;
-              SVOBitset slice(to.DomainSize());
-              for (std::size_t b = begin; b < end; ++b) slice.Set(bits[b]);
-              chunk.mutable_domain(split_var) = std::move(slice);
-              // Re-propagating inside the slice prunes neighbors further;
-              // an emptied chunk simply contributes zero.
-              if (!model->Propagate(&chunk)) return;
-              sub_counts[c] = RunDpPlan(plan, component, to, &chunk);
-            },
-            lanes);
-        BigInt total(0);
-        for (std::size_t c = 0; c < num_chunks; ++c) total += sub_counts[c];
-        return total;
-      }
-    }
-  }
-  return RunDpPlan(plan, component, to, doms_ptr);
+  return RunDpPlan(plan, component, to, nullptr);
 }
 
 }  // namespace

@@ -19,14 +19,15 @@
 
 namespace bagdet {
 
-/// Knobs for the counting engine. The defaults are the production
-/// configuration; the ablation baselines in bench_hom flip them off to
-/// measure each layer (use_domains=false + order_search_max_atoms=0 +
-/// num_threads=1 is the PR-1 engine). Every machine-dependent threshold
-/// defaults from the active TuningProfile (util/tuning.h) — a calibration
-/// profile moves the crossovers, an explicitly assigned field overrides
-/// the profile for that call, and every setting is dispatch-only (counts
-/// are bit-identical under any combination).
+/// Knobs for the counting engine, which counts each connected component
+/// with one serial DP. The defaults are the production configuration; the
+/// ablation baselines in bench_hom flip them off to measure each layer
+/// (use_domains=false + order_search_max_atoms=0 is the PR-1 engine).
+/// Every machine-dependent threshold defaults from the active
+/// TuningProfile (util/tuning.h) — a calibration profile moves the
+/// crossovers, an explicitly assigned field overrides the profile for that
+/// call, and every setting is dispatch-only (counts are bit-identical
+/// under any combination).
 struct DpOptions {
   /// Per-variable candidate domains (hom/domain.h): SVOBitsets seeded from
   /// the positional index's occupancy masks, pre-pruned to an atom-support
@@ -55,27 +56,6 @@ struct DpOptions {
   /// atoms (the subset table stays a few MB; see ROADMAP for the
   /// measured crossover).
   std::size_t order_search_max_atoms = Tuning().order_search_max_atoms;
-
-  /// A single component count is split across the global ThreadPool —
-  /// partitioning the first-bound variable's pruned domain into
-  /// per-worker sub-counts folded in fixed order, bit-identical at any
-  /// thread count — when the estimated DP work (sum over plan steps of
-  /// the live-domain-product table bound) reaches this many units.
-  /// Requires use_domains. 0 splits whenever a second lane exists.
-  double parallel_split_min_work =
-      static_cast<double>(Tuning().parallel_split_min_work);
-
-  /// Domain chunks carved per lane by the parallel split. 1 gives each
-  /// lane one contiguous slice (minimal fork/join overhead); larger
-  /// values oversubscribe so lanes whose slices propagate to empty can
-  /// steal the next chunk instead of idling. Sub-counts fold in fixed
-  /// chunk order, so every value is bit-identical.
-  std::size_t parallel_split_chunks_per_lane =
-      Tuning().parallel_split_chunks_per_lane;
-
-  /// Lanes for the parallel split: 0 = the global pool's full width,
-  /// 1 = always serial.
-  std::size_t num_threads = Tuning().hom_num_threads;
 };
 
 /// Number of homomorphisms from `from` to `to`. Exact (BigInt); note

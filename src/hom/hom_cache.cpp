@@ -52,8 +52,7 @@ void HomCache::InsertCount(CountShard& shard, std::uint64_t key,
   }
 }
 
-BigInt HomCache::CountPair(StructureRef from, StructureRef to,
-                           bool serial_engine) {
+BigInt HomCache::CountPair(StructureRef from, StructureRef to) {
   ExecCheckPoint("homcache.count");
   const std::uint64_t key = PairKey(from, to);
   CountShard& shard = count_shards_[ShardIndex(key)];
@@ -67,9 +66,7 @@ BigInt HomCache::CountPair(StructureRef from, StructureRef to,
     }
     ++shard.misses;
   }
-  DpOptions options;
-  if (serial_engine) options.num_threads = 1;
-  BigInt count = CountHoms(pool_->At(from), pool_->At(to), options);
+  BigInt count = CountHoms(pool_->At(from), pool_->At(to));
   InsertCount(shard, key, count);
   return count;
 }
@@ -153,10 +150,7 @@ std::vector<BigInt> HomCache::BatchCountHoms(
   GlobalThreadPool().ParallelFor(
       pairs.size(),
       [&](std::size_t i) {
-        // Workers fill the pool already — run each miss serially instead
-        // of nesting a parallel split per count.
-        results[i] = CountPair(pairs[i].first, pairs[i].second,
-                               /*serial_engine=*/true);
+        results[i] = CountPair(pairs[i].first, pairs[i].second);
       },
       num_threads);
   return results;

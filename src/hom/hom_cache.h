@@ -85,9 +85,10 @@ class HomCache {
   const std::vector<StructureRef>& ComponentRefs(const Structure& s);
 
   /// Counts every pair, memoized, fanning uncached pairs out through the
-  /// global ThreadPool. `num_threads` caps the parallelism (0 = the pool's
-  /// full width; 1 = serial on the calling thread). Results are in input
-  /// order.
+  /// global ThreadPool — one serial count per pair, so this is where hom
+  /// counting goes parallel. `num_threads` caps the parallelism (0 = the
+  /// pool's full width; 1 = serial on the calling thread). Results are in
+  /// input order.
   std::vector<BigInt> BatchCountHoms(
       const std::vector<std::pair<StructureRef, StructureRef>>& pairs,
       std::size_t num_threads = 0);
@@ -153,12 +154,9 @@ class HomCache {
     std::size_t bytes = 0;
   };
 
-  /// Returns the cached count or computes-and-caches it. Thread-safe.
-  /// `serial_engine` pins the miss computation to one lane — the batch
-  /// driver's workers already occupy the pool, so a nested parallel split
-  /// would only thrash it.
-  BigInt CountPair(StructureRef from, StructureRef to,
-                   bool serial_engine = false);
+  /// Returns the cached count or computes-and-caches it (one serial
+  /// CountHoms per miss). Thread-safe.
+  BigInt CountPair(StructureRef from, StructureRef to);
 
   /// Inserts under the shard lock and evicts LRU entries past the budgets.
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);

@@ -31,11 +31,6 @@ const KeySpec kKeys[] = {
      0, 16},
     {"domain_min_work", &TuningProfile::domain_min_work, nullptr, 0,
      1ull << 50},
-    {"parallel_split_min_work", &TuningProfile::parallel_split_min_work,
-     nullptr, 0, 1ull << 50},
-    {"parallel_split_chunks_per_lane", nullptr,
-     &TuningProfile::parallel_split_chunks_per_lane, 1, 64},
-    {"hom_num_threads", nullptr, &TuningProfile::hom_num_threads, 0, 4096},
     {"hom_cache_max_entries", nullptr, &TuningProfile::hom_cache_max_entries,
      1, std::numeric_limits<std::size_t>::max()},
     {"hom_cache_max_bytes", &TuningProfile::hom_cache_max_bytes, nullptr, 1,

@@ -14,10 +14,11 @@
 //
 // Correctness contract: every knob here is DISPATCH-ONLY. Each gated path
 // is bit-identical to its alternative (the modular drivers verify against
-// exact certificates, the hom splits fold in fixed order, eviction only
-// recomputes), so any profile — including an adversarial one that forces
-// every gate on or off — changes wall-clock, never results. This is
-// pinned by tests/tuning_test.cpp's extreme-profile differential.
+// exact certificates, the hom gates only prune or reorder one serial DP,
+// eviction only recomputes), so any profile — including an adversarial
+// one that forces every gate on or off — changes wall-clock, never
+// results. This is pinned by tests/tuning_test.cpp's extreme-profile
+// differential.
 //
 // Profile format: plain text, one `key = value` per line, `#` comments
 // and blank lines ignored, unknown keys and out-of-range values are typed
@@ -65,18 +66,6 @@ struct TuningProfile {
   /// DpOptions::domain_min_work default: estimated-work floor for engaging
   /// the candidate-domain layer.
   std::uint64_t domain_min_work = 1u << 12;
-  /// DpOptions::parallel_split_min_work default: estimated-work floor for
-  /// splitting one count across the pool.
-  std::uint64_t parallel_split_min_work = 1u << 16;
-  /// DpOptions::parallel_split_chunks_per_lane default: domain chunks
-  /// carved per pool lane in the parallel split. 1 = one chunk per lane
-  /// (minimal handshakes); larger values oversubscribe so uneven chunk
-  /// costs rebalance. Sub-counts fold in fixed chunk order either way, so
-  /// any value is bit-identical. Range [1, 64].
-  std::size_t parallel_split_chunks_per_lane = 1;
-  /// DpOptions::num_threads default for the parallel split (0 = pool
-  /// width, 1 = serial).
-  std::size_t hom_num_threads = 0;
 
   // --- hom/hom_cache + serve/service budgets -------------------------------
   /// HomCache retention defaults (per-cache; the serving tier passes its

@@ -27,6 +27,7 @@
 #include "core/basis.h"
 #include "core/determinacy.h"
 #include "core/distinguisher.h"
+#include "hom/domain.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
 #include "linalg/gauss.h"
@@ -72,6 +73,32 @@ Structure FullDigraph(const std::shared_ptr<Schema>& schema, std::size_t n) {
     for (Element j = 0; j < n; ++j) s.AddFact(0, {i, j});
   }
   return s;
+}
+
+/// The configurations the DP fault tests run C5 through: the default
+/// engine into K5 with loops, and the domain layer forced on
+/// (domain_min_work = 0) into the same target plus an element 5 with no
+/// in-edge. The atom-support fixpoint prunes 5 from every domain, so the
+/// second DP consults live candidate domains.
+struct DpFaultCase {
+  const char* name;
+  DpOptions options;
+  Structure to;
+};
+
+std::vector<DpFaultCase> DpFaultCases(const std::shared_ptr<Schema>& schema,
+                                      const Structure& from) {
+  DpOptions domains_forced;
+  domains_forced.domain_min_work = 0;
+  Structure pruned = FullDigraph(schema, 5);
+  pruned.AddFact(0, {5, 0});
+  DomainSet doms;
+  EXPECT_TRUE(DomainModel(from, pruned).InitialDomains(&doms));
+  EXPECT_EQ(doms.domain(0).Count(), 5u);
+  std::vector<DpFaultCase> cases;
+  cases.push_back({"default", DpOptions(), FullDigraph(schema, 5)});
+  cases.push_back({"domains_forced", domains_forced, std::move(pruned)});
+  return cases;
 }
 
 /// Adversarial instance: deciding view relevance runs
@@ -541,22 +568,23 @@ TEST_F(GovernedTest, InjectedCancelMidDp) {
   }
   auto schema = GraphSchema();
   Structure from = SymmetricCycle(schema, 5);
-  Structure to = FullDigraph(schema, 5);
-  const BigInt baseline = CountHoms(from, to);
-  for (int iter = 0; iter < DiffIters(); ++iter) {
-    failpoint::Config cfg;
-    cfg.action = failpoint::Action::kCancel;
-    cfg.hit_on = 1;
-    failpoint::Arm("hom/dp_step", cfg);
-    ExecContext exec{ExecLimits{}};
-    ExecStatus status;
-    auto value = RunGoverned(exec, &status,
-                             [&] { return CountHoms(from, to); });
-    EXPECT_FALSE(value.has_value());
-    EXPECT_EQ(status.code, ExecCode::kCancelled);
-    failpoint::DisarmAll();
-    // Clean unwind: the disarmed rerun is bit-identical.
-    EXPECT_EQ(CountHoms(from, to), baseline);
+  for (const DpFaultCase& c : DpFaultCases(schema, from)) {
+    const BigInt baseline = CountHoms(from, c.to, c.options);
+    for (int iter = 0; iter < DiffIters(); ++iter) {
+      failpoint::Config cfg;
+      cfg.action = failpoint::Action::kCancel;
+      cfg.hit_on = 1;
+      failpoint::Arm("hom/dp_step", cfg);
+      ExecContext exec{ExecLimits{}};
+      ExecStatus status;
+      auto value = RunGoverned(
+          exec, &status, [&] { return CountHoms(from, c.to, c.options); });
+      EXPECT_FALSE(value.has_value()) << c.name;
+      EXPECT_EQ(status.code, ExecCode::kCancelled) << c.name;
+      failpoint::DisarmAll();
+      // Clean unwind: the disarmed rerun is bit-identical.
+      EXPECT_EQ(CountHoms(from, c.to, c.options), baseline) << c.name;
+    }
   }
 }
 
@@ -634,20 +662,21 @@ TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {
   // C5 -> K5 keeps two live variables, so the DP table reaches 25 entries
   // and must grow past the initial 16 slots — the injection site.
   Structure from = SymmetricCycle(schema, 5);
-  Structure to = FullDigraph(schema, 5);
-  const BigInt baseline = CountHoms(from, to);
-  failpoint::Config cfg;
-  cfg.action = failpoint::Action::kBadAlloc;
-  cfg.hit_on = 1;
-  failpoint::Arm("hom/dp_table_grow", cfg);
-  ExecContext exec{ExecLimits{}};
-  ExecStatus status;
-  auto value =
-      RunGoverned(exec, &status, [&] { return CountHoms(from, to); });
-  EXPECT_FALSE(value.has_value());
-  EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
-  failpoint::DisarmAll();
-  EXPECT_EQ(CountHoms(from, to), baseline);
+  for (const DpFaultCase& c : DpFaultCases(schema, from)) {
+    const BigInt baseline = CountHoms(from, c.to, c.options);
+    failpoint::Config cfg;
+    cfg.action = failpoint::Action::kBadAlloc;
+    cfg.hit_on = 1;
+    failpoint::Arm("hom/dp_table_grow", cfg);
+    ExecContext exec{ExecLimits{}};
+    ExecStatus status;
+    auto value = RunGoverned(
+        exec, &status, [&] { return CountHoms(from, c.to, c.options); });
+    EXPECT_FALSE(value.has_value()) << c.name;
+    EXPECT_EQ(status.code, ExecCode::kResourceExhausted) << c.name;
+    failpoint::DisarmAll();
+    EXPECT_EQ(CountHoms(from, c.to, c.options), baseline) << c.name;
+  }
 }
 
 TEST_F(GovernedTest, InjectedAllocFailureInBigInt) {
@@ -691,55 +720,6 @@ TEST_F(GovernedTest, InjectedAllocFailureLeavesHomCacheConsistent) {
   EXPECT_EQ(cache.Count(from, to), expected);
   EXPECT_EQ(cache.Count(from, to), expected);  // Now a cache hit.
   EXPECT_GE(cache.stats().hits, 1u);
-}
-
-TEST_F(GovernedTest, InjectedFaultMidDomainSplit) {
-  if (!failpoint::Enabled()) {
-    GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
-  }
-  // Force the parallel single-count split (threshold 0, 4 lanes) so the
-  // hom/domain_split site fires inside the per-chunk workers; both fault
-  // flavors must unwind cleanly through the ThreadPool fan-in and leave a
-  // disarmed rerun bit-identical.
-  auto schema = GraphSchema();
-  Structure from = SymmetricCycle(schema, 5);
-  Structure to = FullDigraph(schema, 5);
-  DpOptions split;
-  split.num_threads = 4;
-  split.parallel_split_min_work = 0;
-  split.domain_min_work = 0;  // Domains regardless of instance size.
-  const BigInt baseline = CountHoms(from, to);
-  ASSERT_EQ(CountHoms(from, to, split), baseline);
-  for (int iter = 0; iter < DiffIters(); ++iter) {
-    // Injected cancel mid-split → governed trip, kCancelled.
-    failpoint::Config cancel;
-    cancel.action = failpoint::Action::kCancel;
-    cancel.hit_on = 2;  // Second chunk: the fan-out is already running.
-    failpoint::Arm("hom/domain_split", cancel);
-    ExecContext exec{ExecLimits{}};
-    ExecStatus status;
-    auto value = RunGoverned(exec, &status,
-                             [&] { return CountHoms(from, to, split); });
-    EXPECT_FALSE(value.has_value());
-    EXPECT_EQ(status.code, ExecCode::kCancelled);
-    EXPECT_GE(failpoint::HitCount("hom/domain_split"), 2u);
-    failpoint::DisarmAll();
-    EXPECT_EQ(CountHoms(from, to, split), baseline);
-    // Injected allocation failure mid-split → kResourceExhausted.
-    failpoint::Config oom;
-    oom.action = failpoint::Action::kBadAlloc;
-    oom.hit_on = 1;
-    failpoint::Arm("hom/domain_split", oom);
-    ExecContext exec2{ExecLimits{}};
-    ExecStatus status2;
-    auto value2 = RunGoverned(exec2, &status2,
-                              [&] { return CountHoms(from, to, split); });
-    EXPECT_FALSE(value2.has_value());
-    EXPECT_EQ(status2.code, ExecCode::kResourceExhausted);
-    failpoint::DisarmAll();
-    // Clean unwind: the split rerun still matches the serial engine.
-    EXPECT_EQ(CountHoms(from, to, split), baseline);
-  }
 }
 
 TEST_F(GovernedTest, InjectedCancelMidDecidePipeline) {

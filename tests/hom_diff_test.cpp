@@ -29,7 +29,7 @@ void ExpectAllEnginesAgree(const Structure& from, const Structure& to) {
 
 // Domain-core sweep: the same pair through the ablation corners of the
 // engine (domains on/off, exact order search on/off) and through the
-// forced parallel split at 1 and 4 lanes, each pinned to the naive count.
+// default engine with domains forced on, each pinned to the naive count.
 void ExpectDomainCoreAgrees(const Structure& from, const Structure& to) {
   const BigInt naive = CountHomsNaive(from, to);
   for (bool domains : {false, true}) {
@@ -37,20 +37,15 @@ void ExpectDomainCoreAgrees(const Structure& from, const Structure& to) {
     options.use_domains = domains;
     options.domain_min_work = 0;  // Engage domains on any instance size.
     options.order_search_max_atoms = domains ? 12 : 0;
-    options.num_threads = 1;
     EXPECT_EQ(CountHoms(from, to, options), naive)
         << "domains=" << domains << " from=" << from.ToString()
         << " to=" << to.ToString();
   }
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    DpOptions options;
-    options.num_threads = threads;
-    options.parallel_split_min_work = 0;  // Split whenever legal.
-    options.domain_min_work = 0;
-    EXPECT_EQ(CountHoms(from, to, options), naive)
-        << "threads=" << threads << " from=" << from.ToString()
-        << " to=" << to.ToString();
-  }
+  DpOptions domains_forced;
+  domains_forced.domain_min_work = 0;
+  EXPECT_EQ(CountHoms(from, to, domains_forced), naive)
+      << "domains forced, from=" << from.ToString()
+      << " to=" << to.ToString();
 }
 
 TEST(HomDiffTest, MixedAritySchemaWithNullaryRelations) {
@@ -136,8 +131,8 @@ TEST(HomDiffTest, DomainCoreOnHighAritySparseSchemas) {
 }
 
 TEST(HomDiffTest, DomainCoreOnDisconnectedSourcesWithNullaries) {
-  // Component decomposition × nullary presence constraints × the split
-  // path: the product-of-components fold must stay exact under all knobs.
+  // Component decomposition × nullary presence constraints × the domain
+  // layer: the product-of-components fold must stay exact under all knobs.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("H", 0);
   schema->AddRelation("P", 1);

@@ -1,9 +1,8 @@
 // Unit and differential coverage of the domain layer of the hom core:
 // SVOBitset (inline/spill boundary, intersection/count/scan kernels, copy
 // and move hygiene), DomainSet propagation (seeding, arc-consistency
-// fixpoint, binding cascades), the DpOptions ablation matrix, and the
-// bit-identity contract of the parallel single-count split across thread
-// counts.
+// fixpoint, binding cascades), and the DpOptions ablation matrix with the
+// domain layer forced on.
 
 #include <gtest/gtest.h>
 
@@ -215,7 +214,6 @@ DpOptions Pr1Options() {
   DpOptions options;
   options.use_domains = false;
   options.order_search_max_atoms = 0;
-  options.num_threads = 1;
   return options;
 }
 
@@ -233,68 +231,21 @@ TEST(HomDomainTest, OptionsMatrixAgreesOnRandomPairs) {
     const BigInt expected = CountHomsNaive(from, to);
     for (bool domains : {false, true}) {
       for (std::size_t search : {std::size_t{0}, std::size_t{12}}) {
-        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          DpOptions options;
-          options.use_domains = domains;
-          options.domain_min_work = 0;  // Engage domains on any size.
-          options.order_search_max_atoms = search;
-          options.num_threads = threads;
-          options.parallel_split_min_work = 0;  // Force the split path.
-          EXPECT_EQ(CountHoms(from, to, options), expected)
-              << "domains=" << domains << " search=" << search
-              << " threads=" << threads << " from=" << from.ToString()
-              << " to=" << to.ToString();
-        }
+        DpOptions options;
+        options.use_domains = domains;
+        options.domain_min_work = 0;  // Engage domains on any size.
+        options.order_search_max_atoms = search;
+        EXPECT_EQ(CountHoms(from, to, options), expected)
+            << "domains=" << domains << " search=" << search
+            << " from=" << from.ToString() << " to=" << to.ToString();
       }
-    }
-  }
-}
-
-TEST(HomDomainTest, ParallelSplitIsBitIdenticalAcrossThreadCounts) {
-  auto schema = GraphSchema();
-  // A count big enough that every chunk is non-trivial: hom(P6, K5).
-  Structure path(schema, 7);
-  for (Element i = 0; i < 6; ++i) {
-    path.AddFact(0, {i, static_cast<Element>(i + 1)});
-  }
-  Structure clique(schema, 5);
-  for (Element a = 0; a < 5; ++a) {
-    for (Element b = 0; b < 5; ++b) {
-      if (a != b) clique.AddFact(0, {a, b});
-    }
-  }
-  const BigInt serial = CountHoms(path, clique, Pr1Options());
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    DpOptions options;
-    options.num_threads = threads;
-    options.parallel_split_min_work = 0;
-    options.domain_min_work = 0;
-    EXPECT_EQ(CountHoms(path, clique, options), serial) << threads;
-  }
-  // And on irregular random instances, against the default engine.
-  Rng rng(0x5b11d);
-  const int iters = 10 * testmat::DiffIterScale();
-  for (int iter = 0; iter < iters; ++iter) {
-    Structure from = RandomConnectedStructure(schema, 2 + rng.Below(3), &rng,
-                                              2, 3);
-    Structure to = RandomStructure(schema, 2 + rng.Below(5), &rng, 2, 3);
-    const BigInt baseline = CountHoms(from, to);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      DpOptions options;
-      options.num_threads = threads;
-      options.parallel_split_min_work = 0;
-      options.domain_min_work = 0;
-      EXPECT_EQ(CountHoms(from, to, options), baseline)
-          << "threads=" << threads << " from=" << from.ToString()
-          << " to=" << to.ToString();
     }
   }
 }
 
 TEST(HomDomainTest, ClosedFormsSurviveEveryEngine) {
   // hom(C4, K_n) = trace(A_{K_n}^4) = (n-1)^4 + (n-1); pin both engines
-  // and the forced split to the formula.
+  // and the domain-forced DP to the formula.
   auto schema = GraphSchema();
   Structure cycle(schema, 4);
   for (Element i = 0; i < 4; ++i) {
@@ -311,11 +262,9 @@ TEST(HomDomainTest, ClosedFormsSurviveEveryEngine) {
     const BigInt expected = BigInt(k * k * k * k + k);
     EXPECT_EQ(CountHoms(cycle, clique), expected) << n;
     EXPECT_EQ(CountHoms(cycle, clique, Pr1Options()), expected) << n;
-    DpOptions split;
-    split.num_threads = 4;
-    split.parallel_split_min_work = 0;
-    split.domain_min_work = 0;
-    EXPECT_EQ(CountHoms(cycle, clique, split), expected) << n;
+    DpOptions domains_forced;
+    domains_forced.domain_min_work = 0;
+    EXPECT_EQ(CountHoms(cycle, clique, domains_forced), expected) << n;
   }
 }
 

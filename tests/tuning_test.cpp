@@ -59,9 +59,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
   EXPECT_EQ(t.modular_num_threads, 0u);
   EXPECT_EQ(t.order_search_max_atoms, 12u);
   EXPECT_EQ(t.domain_min_work, static_cast<std::uint64_t>(1) << 12);
-  EXPECT_EQ(t.parallel_split_min_work, static_cast<std::uint64_t>(1) << 16);
-  EXPECT_EQ(t.parallel_split_chunks_per_lane, 1u);
-  EXPECT_EQ(t.hom_num_threads, 0u);
   EXPECT_EQ(t.hom_cache_max_entries, static_cast<std::size_t>(1) << 20);
   EXPECT_EQ(t.hom_cache_max_bytes, 256ull << 20);
   EXPECT_EQ(t.serve_pool_max_classes, static_cast<std::size_t>(1) << 16);
@@ -74,7 +71,6 @@ TEST_F(TuningTest, SerializeParseRoundTrip) {
   p.modular_num_threads = 3;
   p.order_search_max_atoms = 9;
   p.domain_min_work = 123456;
-  p.parallel_split_chunks_per_lane = 4;
   p.num_threads = 16;
   TuningError error{};
   std::optional<TuningProfile> parsed =
@@ -115,15 +111,31 @@ TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
 }
 
 TEST_F(TuningTest, UnknownKeyIsTyped) {
-  // A retired key: profiles written while the multi-modular inverse existed
-  // still carry it, and must be rejected by name rather than half-applied.
-  TuningError error{};
-  EXPECT_FALSE(ParseTuningProfile(
-                   "order_search_max_atoms = 8\ndixon_min_dim = 8\n", &error)
-                   .has_value());
-  EXPECT_EQ(error.code, TuningErrorCode::kUnknownKey);
-  EXPECT_EQ(error.line, 2);
-  EXPECT_NE(error.message.find("dixon_min_dim"), std::string::npos);
+  // Retired keys: profiles written while the multi-modular inverse or the
+  // parallel single-count hom split existed still carry them, and must be
+  // rejected by name rather than half-applied — both when parsed directly
+  // and when loaded through the environment variable, which falls back to
+  // the built-in defaults.
+  for (const char* key :
+       {"dixon_min_dim", "parallel_split_min_work",
+        "parallel_split_chunks_per_lane", "hom_num_threads"}) {
+    const std::string text =
+        "order_search_max_atoms = 8\n" + std::string(key) + " = 1\n";
+    TuningError error{};
+    EXPECT_FALSE(ParseTuningProfile(text, &error).has_value()) << key;
+    EXPECT_EQ(error.code, TuningErrorCode::kUnknownKey) << key;
+    EXPECT_EQ(error.line, 2) << key;
+    EXPECT_NE(error.message.find(key), std::string::npos) << key;
+
+    const std::string path = WriteTempProfile(text, "retired");
+    ASSERT_EQ(::setenv("BAGDET_TUNING_PROFILE", path.c_str(), 1), 0);
+    std::optional<TuningError> env_error = ReloadTuningFromEnv();
+    ASSERT_TRUE(env_error.has_value()) << key;
+    EXPECT_EQ(env_error->code, TuningErrorCode::kUnknownKey) << key;
+    EXPECT_EQ(SerializeTuningProfile(Tuning()),
+              SerializeTuningProfile(TuningProfile{}))
+        << key;
+  }
 }
 
 TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
@@ -133,7 +145,6 @@ TEST_F(TuningTest, OutOfRangeValuesAreTyped) {
   };
   const Case cases[] = {
       {"order_search_max_atoms = 17\n", 1},      // Engine hard cap is 16.
-      {"parallel_split_chunks_per_lane = 0\n", 1},
       {"hom_cache_max_entries = 0\n", 1},
       {"num_threads = 100000\n", 1},
   };
@@ -152,12 +163,12 @@ TEST_F(TuningTest, MissingFileIsIoErrorAndInvalidSetIsRejected) {
   EXPECT_EQ(error.code, TuningErrorCode::kIoError);
 
   TuningProfile bad;
-  bad.parallel_split_chunks_per_lane = 0;
+  bad.hom_cache_max_entries = 0;
   std::optional<TuningError> rejected = SetTuningProfile(bad);
   ASSERT_TRUE(rejected.has_value());
   EXPECT_EQ(rejected->code, TuningErrorCode::kOutOfRange);
   // The active profile is unchanged by a rejected set.
-  EXPECT_EQ(Tuning().parallel_split_chunks_per_lane, 1u);
+  EXPECT_EQ(Tuning().hom_cache_max_entries, static_cast<std::size_t>(1) << 20);
 }
 
 TEST_F(TuningTest, EnvVarRoundTrip) {
@@ -199,17 +210,15 @@ TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
 // --- Dispatch-only differential -------------------------------------------
 //
 // Two adversarial profiles bracketing the stock one: kAllFast forces every
-// gated fast path on (domains + order search + splitting always, max
-// oversubscription, starved cache), kAllSlow forces every gate off (no
-// order search, huge engage thresholds, serial modular fold and hom).
+// gated fast path on (domains + order search always, starved cache),
+// kAllSlow forces every gate off (no order search, domain layer never
+// engaged, serial modular fold).
 // Results must be bit-identical across all three.
 
 TuningProfile AllFastProfile() {
   TuningProfile p;
   p.order_search_max_atoms = 16;  // Engine hard cap.
   p.domain_min_work = 0;          // Always build domains.
-  p.parallel_split_min_work = 0;  // Split whenever a second lane exists.
-  p.parallel_split_chunks_per_lane = 64;
   p.hom_cache_max_entries = 1;    // Evict on every insert.
   p.hom_cache_max_bytes = 1;
   return p;
@@ -219,9 +228,7 @@ TuningProfile AllSlowProfile() {
   TuningProfile p;
   p.order_search_max_atoms = 0;   // Greedy order only.
   p.domain_min_work = 1ull << 40; // Domain layer never engages.
-  p.parallel_split_min_work = 1ull << 40;
   p.modular_num_threads = 1;      // Serial fold.
-  p.hom_num_threads = 1;
   return p;
 }
 

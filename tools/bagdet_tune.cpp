@@ -3,9 +3,9 @@
 // Every gate in the library's TuningProfile (util/tuning.h) defaults to a
 // crossover measured on the 1-core reference host. This tool re-measures
 // each crossover on the machine it runs on — the hom-core order-search and
-// domain-engage thresholds, thread-pool width, parallel-split chunking —
-// using the same seeded generators the differential suites trust
-// (tests/test_matrices.h, structs/generator.h), then writes
+// domain-engage thresholds and the thread-pool width — using the same
+// seeded generators the differential suites trust (tests/test_matrices.h,
+// structs/generator.h), then writes
 //
 //   * a tuning profile (`key = value`, loadable via BAGDET_TUNING_PROFILE)
 //     re-pointing the library's dispatch defaults at the measured machine,
@@ -109,13 +109,12 @@ double TimeMs(const std::function<void()>& fn, int reps) {
 /// One measured point of a sweep, serialized into the JSON report.
 struct Point {
   std::string label;
-  double ms_a = 0.0;  ///< First alternative (meaning depends on the sweep).
-  double ms_b = -1.0; ///< Second alternative; < 0 = single-valued point.
+  double ms_a = 0.0;  ///< Wall time (meaning depends on the sweep).
 };
 
 struct Sweep {
   std::string name;
-  std::string columns;  ///< "label, <meaning of a>, <meaning of b>".
+  std::string columns;  ///< "label, <meaning of a>".
   std::vector<Point> points;
   std::string decision;
 };
@@ -222,11 +221,10 @@ Sweep SweepDomainMinWork(Mode mode, const HomWorkload& w,
   return sweep;
 }
 
-/// Thread-pool width: wall time of the two pool-heavy kernels (the
-/// many-prime modular RREF fold and a split hom count) at every power-of-2
-/// width up to the hardware, plus the hardware width itself.
-Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
-                       std::size_t* chunks_per_lane) {
+/// Thread-pool width: wall time of the pool-heavy many-prime modular RREF
+/// fold at every power-of-2 width up to the hardware, plus the hardware
+/// width itself.
+Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads) {
   const int reps = mode == Mode::kDryRun ? 1 : 2;
   std::vector<std::size_t> widths;
   for (std::size_t w = 1; w < hw_cpus; w *= 2) widths.push_back(w);
@@ -235,15 +233,10 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
   Rng rng(404);
   const std::size_t n = mode == Mode::kDryRun ? 10 : 16;
   const Mat rank_deficient = testmat::RandomBigLowRankMatrix(&rng, n, 4, 8);
-  auto schema = std::make_shared<Schema>();
-  schema->AddRelation("E", 2);
-  const Structure from =
-      RandomConnectedStructure(schema, 5, &rng, 3, 4);
-  const Structure to = RandomStructure(schema, 12, &rng, 2, 5);
 
   Sweep sweep;
   sweep.name = "thread_width";
-  sweep.columns = "width, modular_rref_ms, hom_split_ms";
+  sweep.columns = "width, modular_rref_ms";
   double best_ms = std::numeric_limits<double>::infinity();
   std::size_t best_width = 1;
   for (std::size_t width : widths) {
@@ -257,16 +250,8 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
           TryModularRref(rank_deficient, options);
         },
         reps);
-    p.ms_b = TimeMs(
-        [&] {
-          DpOptions options;
-          options.num_threads = width;
-          options.parallel_split_min_work = 0;
-          CountHoms(from, to, options);
-        },
-        reps);
-    if (p.ms_a + p.ms_b < best_ms) {
-      best_ms = p.ms_a + p.ms_b;
+    if (p.ms_a < best_ms) {
+      best_ms = p.ms_a;
       best_width = width;
     }
     sweep.points.push_back(std::move(p));
@@ -276,31 +261,9 @@ Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads,
   // Full hardware width is spelled "auto" so a profile moved between
   // machines of the same family keeps scaling.
   *num_threads = best_width == hw_cpus ? 0 : best_width;
-
-  // Split chunking only matters with real lanes: sweep oversubscription at
-  // the chosen width, else retain the default.
-  *chunks_per_lane = TuningProfile{}.parallel_split_chunks_per_lane;
-  if (hw_cpus > 1) {
-    double best_chunk_ms = std::numeric_limits<double>::infinity();
-    for (std::size_t c : {1u, 2u, 4u}) {
-      DpOptions options;
-      options.parallel_split_min_work = 0;
-      options.parallel_split_chunks_per_lane = c;
-      const double ms = TimeMs([&] { CountHoms(from, to, options); }, reps);
-      Point p;
-      p.label = "chunks=" + std::to_string(c);
-      p.ms_a = ms;
-      sweep.points.push_back(std::move(p));
-      if (ms < best_chunk_ms) {
-        best_chunk_ms = ms;
-        *chunks_per_lane = c;
-      }
-    }
-  }
   std::ostringstream decision;
   decision << "num_threads=" << *num_threads << " (best width " << best_width
-           << " of " << hw_cpus << " hw), parallel_split_chunks_per_lane="
-           << *chunks_per_lane;
+           << " of " << hw_cpus << " hw)";
   sweep.decision = decision.str();
   return sweep;
 }
@@ -344,9 +307,7 @@ std::string BuildReportJson(const Fingerprint& fp, Mode mode,
     for (std::size_t i = 0; i < sweep.points.size(); ++i) {
       const Point& p = sweep.points[i];
       out << (i == 0 ? "" : ", ") << "{\"label\": \"" << JsonEscape(p.label)
-          << "\", \"a_ms\": " << p.ms_a;
-      if (p.ms_b >= 0) out << ", \"b_ms\": " << p.ms_b;
-      out << "}";
+          << "\", \"a_ms\": " << p.ms_a << "}";
     }
     out << "]}" << (s + 1 == sweeps.size() ? "" : ",") << "\n";
   }
@@ -416,8 +377,7 @@ int Run(int argc, char** argv) {
   std::cerr << "  " << sweeps.back().decision << "\n";
   sweeps.push_back(SweepDomainMinWork(mode, workload, &chosen.domain_min_work));
   std::cerr << "  " << sweeps.back().decision << "\n";
-  sweeps.push_back(SweepThreadWidth(mode, fp.cpus, &chosen.num_threads,
-                                    &chosen.parallel_split_chunks_per_lane));
+  sweeps.push_back(SweepThreadWidth(mode, fp.cpus, &chosen.num_threads));
   std::cerr << "  " << sweeps.back().decision << "\n";
 
   if (std::optional<TuningError> error = ValidateTuningProfile(chosen)) {
