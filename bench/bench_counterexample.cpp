@@ -59,7 +59,7 @@ void BM_SynthesizeCounterexample(benchmark::State& state) {
   }
   state.SetLabel("k=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_SynthesizeCounterexample)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
+BENCHMARK(BM_SynthesizeCounterexample)->DenseRange(2, 8)->Unit(benchmark::kMicrosecond);
 
 void BM_VerifyCounterexampleExact(benchmark::State& state) {
   Instance inst = UndeterminedInstance(static_cast<std::size_t>(state.range(0)));

@@ -30,9 +30,9 @@ Baseline format::
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-dispatch-sensitive sweeps (modular thread sweep, decide loop), not every
-microbenchmark, so a refactor adding benches does not invalidate
-baselines.
+dispatch-sensitive sweeps (modular thread sweep, decide loop) and
+counterexample synthesis, not every microbenchmark, so a refactor adding
+benches does not invalidate baselines.
 """
 
 import argparse
@@ -40,11 +40,13 @@ import json
 import sys
 
 # Benchmarks worth gating: the thread sweeps whose shape the tuning
-# subsystem exists to keep honest, plus the end-to-end decide loop.
+# subsystem exists to keep honest, the end-to-end decide loop, and
+# counterexample synthesis (cone inverse + Lemma-57 walk).
 PINNED_PREFIXES = (
     "BM_ModularRrefManyPrimes",
     "BM_ModularInverse",
     "BM_DecideDetermined",
+    "BM_SynthesizeCounterexample",
 )
 
 DEFAULT_TOLERANCE = 0.25

@@ -1,32 +1,70 @@
 #include "core/counterexample.h"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "linalg/cone.h"
 #include "linalg/gauss.h"
-#include "util/exec_context.h"
 
 namespace bagdet {
 
-namespace {
-
-/// Entrywise t^z(i) for an integer vector z (Definition 48(3), restricted
-/// to the integer exponents the proof of Lemma 56 needs for rationality).
-Vec PowVector(const Rational& t, const Vec& z) {
-  Vec result(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    if (!z[i].IsInteger()) {
-      throw std::logic_error("PowVector: non-integer exponent");
-    }
-    result[i] = Rational::Pow(t, z[i].numerator().ToInt64());
+PerturbationWalk WalkIntoCone(const SimplicialCone& cone, const Vec& p,
+                              const Vec& z) {
+  if (z.size() != p.size()) {
+    throw std::invalid_argument("WalkIntoCone: size mismatch");
   }
-  return result;
+  const std::size_t n = p.size();
+  // Integer exponents, as the proof of Lemma 56 needs for rationality.
+  std::vector<std::int64_t> exponents;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!z[i].IsInteger()) {
+      throw std::logic_error("WalkIntoCone: non-integer exponent");
+    }
+    exponents.push_back(z[i].numerator().ToInt64());
+  }
+  const std::int64_t lo =
+      n == 0 ? 0 : *std::min_element(exponents.begin(), exponents.end());
+  const std::int64_t hi =
+      n == 0 ? 0 : *std::max_element(exponents.begin(), exponents.end());
+
+  // p = y / L with y integral.
+  const BigInt denominator = p.CommonDenominator();
+  std::vector<BigInt> y;
+  for (std::size_t i = 0; i < n; ++i) {
+    y.push_back(p[i].numerator() * (denominator / p[i].denominator()));
+  }
+
+  PerturbationWalk walk;
+  std::vector<BigInt> perturbed(n);
+  for (std::int64_t j = 1; j <= PerturbationWalk::kMaxWalkSteps; ++j) {
+    // One forced deadline check per step: each step multiplies ever-longer
+    // integers, far costlier than a clock read.
+    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("core.walk");
+    const BigInt b = BigInt::Pow(BigInt(2), static_cast<std::uint64_t>(j));
+    const BigInt a = b + BigInt(1);
+    // P′_i = a^(z_i − lo) · b^(hi − z_i) · y_i = t^z_i · p_i · L · b^hi / a^lo,
+    // so P′ is a positive multiple of t^z ∘ p.
+    for (std::size_t i = 0; i < n; ++i) {
+      perturbed[i] =
+          BigInt::Pow(a, static_cast<std::uint64_t>(exponents[i] - lo)) *
+          BigInt::Pow(b, static_cast<std::uint64_t>(hi - exponents[i])) * y[i];
+    }
+    std::optional<Vec> coordinates = cone.NonNegativeCoordinates(perturbed);
+    if (coordinates.has_value()) {
+      walk.t = Rational(a, b);
+      walk.coordinates =
+          *coordinates * (Rational::Pow(Rational(a), lo) *
+                          Rational::Pow(Rational(b), -hi) /
+                          Rational(denominator));
+      return walk;
+    }
+  }
+  walk.status.code = ExecCode::kResourceExhausted;
+  walk.status.kernel = "core.walk";
+  return walk;
 }
 
-}  // namespace
-
-BagCounterexample SynthesizeCounterexample(const InstanceAnalysis& analysis,
-                                           const GoodBasis& basis) {
+CounterexampleOutcome TrySynthesizeCounterexample(
+    const InstanceAnalysis& analysis, const GoodBasis& basis) {
   const std::size_t k = analysis.basis_queries.size();
   BagCounterexample result;
   result.basis_structures = basis.structures;
@@ -45,35 +83,19 @@ BagCounterexample SynthesizeCounterexample(const InstanceAnalysis& analysis,
   // basis makes it simplicial with nonempty interior (Corollary 8).
   SimplicialCone cone(basis.evaluation);
 
-  // Interior point p = M·𝟙.
-  Vec ones(k);
-  for (std::size_t i = 0; i < k; ++i) ones[i] = Rational(1);
-  Vec p = cone.InteriorPoint();
-
-  // Lemma 57: walk t toward 1 until p′ = t^z ∘ p falls back inside C.
-  // Continuity at t = 1 (coordinates (𝟙) are strictly positive)
-  // guarantees termination.
-  Vec alpha_prime;
-  Rational t;
-  for (std::int64_t j = 1;; ++j) {
-    // One forced deadline check per step: each step is a full exact
-    // mat-vec over ever-longer rationals, far costlier than a clock read.
-    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("core.walk");
-    t = Rational(1) + Rational(BigInt(1), BigInt::Pow(BigInt(2), j));
-    Vec p_prime = Vec::Hadamard(PowVector(t, result.z), p);
-    alpha_prime = cone.Coordinates(p_prime);
-    if (alpha_prime.IsNonNegative()) break;
-    if (j > 4096) {
-      throw std::logic_error(
-          "SynthesizeCounterexample: perturbation search failed to converge");
-    }
-  }
-  result.t = t;
+  // Lemma 57: walk t toward 1 until p′ = t^z ∘ p falls back inside C,
+  // starting from the interior point p = M·𝟙. Continuity at t = 1
+  // (coordinates (𝟙) are strictly positive) guarantees termination.
+  PerturbationWalk walk = WalkIntoCone(cone, cone.InteriorPoint(), result.z);
+  if (!walk.status.ok()) return {std::nullopt, std::move(walk.status)};
+  result.t = std::move(walk.t);
 
   // Lemma 55: clear denominators so both coordinate vectors are natural.
-  Rational c_prime{alpha_prime.CommonDenominator()};
+  Vec ones(k);
+  for (std::size_t i = 0; i < k; ++i) ones[i] = Rational(1);
+  Rational c_prime{walk.coordinates.CommonDenominator()};
   result.coeffs_d = ones * c_prime;
-  result.coeffs_d_prime = alpha_prime * c_prime;
+  result.coeffs_d_prime = walk.coordinates * c_prime;
 
   auto build = [&](const Vec& coeffs) {
     std::vector<StructureExpr> terms;
@@ -86,7 +108,18 @@ BagCounterexample SynthesizeCounterexample(const InstanceAnalysis& analysis,
   };
   result.d = build(result.coeffs_d);
   result.d_prime = build(result.coeffs_d_prime);
-  return result;
+  return {std::move(result), ExecStatus{}};
+}
+
+BagCounterexample SynthesizeCounterexample(const InstanceAnalysis& analysis,
+                                           const GoodBasis& basis) {
+  CounterexampleOutcome outcome =
+      TrySynthesizeCounterexample(analysis, basis);
+  if (!outcome.counterexample.has_value()) {
+    throw std::logic_error("SynthesizeCounterexample: " +
+                           outcome.status.ToString());
+  }
+  return std::move(*outcome.counterexample);
 }
 
 }  // namespace bagdet

@@ -171,14 +171,17 @@ DeterminacyResult DecideBagDeterminacy(std::vector<ConjunctiveQuery> views,
     return result;
   }
   if (options.want_counterexample) {
-    // Typed outcome instead of an exception: a distinguisher search that
-    // exhausts its bounds leaves the (valid) NOT-determined verdict in
-    // place with exec_status recording why the certificate is missing.
+    // Typed outcomes instead of exceptions: a distinguisher search that
+    // exhausts its bounds, or a perturbation walk that never re-enters the
+    // cone, leaves the (valid) NOT-determined verdict in place with
+    // exec_status recording why the certificate is missing.
     GoodBasisOutcome basis = TryBuildGoodBasis(result.analysis,
                                                options.distinguisher);
     if (basis.basis.has_value()) {
-      result.counterexample =
-          SynthesizeCounterexample(result.analysis, *basis.basis);
+      CounterexampleOutcome synthesis =
+          TrySynthesizeCounterexample(result.analysis, *basis.basis);
+      result.counterexample = std::move(synthesis.counterexample);
+      result.exec_status = std::move(synthesis.status);
     } else {
       result.exec_status = basis.status;
     }

@@ -132,14 +132,15 @@ struct DeterminacyResult {
   InstanceAnalysis analysis;
 
   /// Execution record for the run. ok() in the common case. The only
-  /// non-ok value the ungoverned entry point produces on well-formed input
-  /// is kResourceExhausted in kernel "distinguisher": counterexample
-  /// synthesis was requested, the verdict is NOT determined (the verdict
-  /// itself is always valid), but the distinguisher search exhausted its
-  /// bounds before a good basis existed — `counterexample` stays empty and
-  /// no exception escapes. Widen
+  /// non-ok values the ungoverned entry point produces on well-formed input
+  /// are kResourceExhausted in kernel "distinguisher" or "core.walk":
+  /// counterexample synthesis was requested, the verdict is NOT determined
+  /// (the verdict itself is always valid), but the distinguisher search
+  /// exhausted its bounds before a good basis existed, or the Lemma-57
+  /// walk found no perturbation inside the cone — `counterexample` stays
+  /// empty and no exception escapes. Widen
   /// DeterminacyOptions::distinguisher.max_subset_domain to recover the
-  /// certificate.
+  /// certificate in the first case.
   ExecStatus exec_status;
 
   /// Human-readable summary of the verdict and certificate.

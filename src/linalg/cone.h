@@ -1,11 +1,19 @@
 // bagdet: the convex cone 𝒞 = M(R^k_{≥0}) of Definition 52 and the
 // rational-interior-point machinery of Corollary 8 — the geometric stage
 // on which the counterexample of Lemma 56 is built.
+//
+// The cone keeps M⁻¹ in fraction-free form (linalg/gauss.h): integers R,
+// D and d > 0 with M⁻¹ = R·D / d, so d·M⁻¹u = R·D·u is an integer mat-vec
+// for an integer vector u. Coordinates clears a rational point's
+// denominators, runs that mat-vec, and normalizes to Rational once, at the
+// end; NonNegativeCoordinates is the same test on an integer vector,
+// stopping at the first negative row. Only this class knows the format.
 
 #ifndef BAGDET_LINALG_CONE_H_
 #define BAGDET_LINALG_CONE_H_
 
 #include <optional>
+#include <vector>
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
@@ -21,11 +29,16 @@ class SimplicialCone {
   explicit SimplicialCone(Mat m);
 
   const Mat& matrix() const { return matrix_; }
-  const Mat& inverse() const { return inverse_; }
   std::size_t Dimension() const { return matrix_.rows(); }
 
   /// Preimage coordinates M⁻¹ p.
-  Vec Coordinates(const Vec& point) const { return inverse_.Apply(point); }
+  Vec Coordinates(const Vec& point) const;
+
+  /// M⁻¹ u for an integer vector u when it is ≥ 0 (u ∈ 𝒞), std::nullopt
+  /// otherwise. Integer arithmetic only until u is accepted; a rejected u
+  /// costs the mat-vec rows up to the first negative one.
+  std::optional<Vec> NonNegativeCoordinates(
+      const std::vector<BigInt>& point) const;
 
   /// p ∈ 𝒞 ⇔ M⁻¹ p ≥ 0.
   bool Contains(const Vec& point) const {
@@ -46,8 +59,13 @@ class SimplicialCone {
   std::optional<BigInt> ScaleIntoLattice(const Vec& point) const;
 
  private:
+  /// R·D·u = d·M⁻¹u for an integer vector u. With `nonnegative_only`,
+  /// std::nullopt at the first negative row.
+  std::optional<std::vector<BigInt>> ScaledCoordinates(
+      const std::vector<BigInt>& point, bool nonnegative_only) const;
+
   Mat matrix_;
-  Mat inverse_;
+  ScaledInverse inverse_;
 };
 
 }  // namespace bagdet

@@ -625,6 +625,8 @@ Rational DeterminantBareiss(const Mat& m) {
   BigInt prev(1);
   bool negate = false;
   for (std::size_t k = 0; k + 1 < n; ++k) {
+    // One forced clock read per pivot row, like the other exact kernels.
+    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("linalg.exact");
     std::size_t pivot = n;
     for (std::size_t r = k; r < n; ++r) {
       if (!a[r * n + k].IsZero()) {

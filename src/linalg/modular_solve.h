@@ -174,7 +174,8 @@ std::optional<bool> ModularNonsingularProbe(const Mat& m,
 /// two-step-exact-division elimination over Z, and rescales. Intermediate
 /// values are bounded by minors of the cleared matrix — no rational
 /// normalization churn. Exact for every input; the preferred path for the
-/// dense-integer matrices the pipeline produces.
+/// dense-integer matrices the pipeline produces. Forces a deadline check
+/// on the current ExecContext once per pivot row ("linalg.exact").
 Rational DeterminantBareiss(const Mat& m);
 
 }  // namespace bagdet

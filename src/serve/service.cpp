@@ -188,19 +188,17 @@ ServeResponse DeterminacyService::Execute(
     }
 
     if (status.ok()) {
-      // The decision completed. Distinguisher bound exhaustion surfaces
-      // inside the result as a non-ok exec_status with a valid verdict —
-      // the built-in degraded answer.
-      const bool distinguisher_exhausted =
-          result->exec_status.code == ExecCode::kResourceExhausted &&
-          result->exec_status.kernel == "distinguisher";
+      // The decision completed. A certificate decline (distinguisher or
+      // walk exhaustion) surfaces inside the result as a non-ok
+      // exec_status with a valid verdict — the built-in degraded answer.
+      const bool certificate_declined = !result->exec_status.ok();
       if (tier_degraded && want_cx && !result->determined) {
         // Verdict delivered without the counterexample the client asked
         // for (a determined verdict never carries one, so that case is a
         // full answer despite the dropped tier).
         resp.outcome = ServeOutcome::kDegraded;
         resp.degraded = true;
-      } else if (distinguisher_exhausted) {
+      } else if (certificate_declined) {
         resp.outcome = ServeOutcome::kDegraded;
         resp.degraded = true;
         resp.status = result->exec_status;

@@ -29,9 +29,10 @@
 //     counterexample was requested, the request drops one tier and re-runs
 //     decide-without-counterexample — the verdict is the cheap half; the
 //     certificate is the exponentially larger one. A distinguisher that
-//     exhausts its bounds (DistinguisherOutcome::kBoundsExhausted) arrives
-//     as a built-in degraded answer: valid verdict, typed explanation for
-//     the missing certificate. Only when every tier declines is the
+//     exhausts its bounds (DistinguisherOutcome::kBoundsExhausted), or a
+//     perturbation walk that never re-enters the cone, arrives as a
+//     built-in degraded answer: valid verdict, typed explanation for the
+//     missing certificate. Only when every tier declines is the
 //     request answered with a typed kDeclined.
 //   * Shutdown: deterministic drain. Shutdown() closes admission (new
 //     submissions shed with kernel "serve/shutdown") and blocks until
@@ -81,7 +82,8 @@ namespace bagdet {
 enum class ServeOutcome {
   kAnswered = 0,  ///< Full decision, everything the client asked for.
   kDegraded = 1,  ///< Valid verdict, but the counterexample was dropped
-                  ///< (tier degradation or distinguisher bound exhaustion).
+                  ///< (tier degradation, or an in-result certificate
+                  ///< decline: distinguisher or walk exhaustion).
   kShed = 2,      ///< Not admitted: queue full or shutting down.
   kDeclined = 3,  ///< Admitted but no tier could complete within limits,
                   ///< or the request was malformed.
@@ -106,7 +108,7 @@ struct ServeRequest {
 struct ServeResponse {
   ServeOutcome outcome = ServeOutcome::kDeclined;
   /// Why: ok for kAnswered; the degrading/declining trip otherwise (for a
-  /// degraded distinguisher-exhaustion answer, the in-result status).
+  /// degraded certificate decline, the in-result status).
   ExecStatus status;
   /// Engaged for kAnswered and kDegraded; the verdict is always valid.
   std::optional<DeterminacyResult> result;

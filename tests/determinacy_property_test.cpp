@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "core/determinacy.h"
+#include "linalg/gauss.h"
 #include "query/cq.h"
 #include "structs/generator.h"
+#include "test_matrices.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -214,6 +216,110 @@ TEST(DeterminacyStressTest, MixedRelevanceInstance) {
     Structure d = RandomStructure(schema, 1 + rng.Below(3), &rng);
     EXPECT_TRUE(CheckWitnessOnStructure(result.analysis, *result.witness, d));
   }
+}
+
+// --- Certificates vs the rational Lemma-57 walk -----------------------------
+//
+// The integer walk must pick the same first j as the rational walk it
+// replaced, so (z, t, coeffs_d, coeffs_d_prime) are bit-identical.
+
+struct RationalCertificate {
+  Vec z;
+  Rational t;
+  Vec coeffs_d;
+  Vec coeffs_d_prime;
+};
+
+/// The walk as it ran on rationals: z from Fact 5, p = M·𝟙, then for
+/// j = 1, 2, … the rational t^z ∘ p under the rational Gauss–Jordan
+/// inverse until M⁻¹p′ ≥ 0, and Lemma 55's denominator clearing.
+RationalCertificate RationalWalk(const InstanceAnalysis& analysis,
+                                 const Mat& m) {
+  RationalCertificate out;
+  out.z = *OrthogonalWitness(analysis.view_vectors, analysis.query_vector);
+  const std::optional<Mat> inverse = testmat::GaussJordanInverse(m);
+  const std::size_t k = m.rows();
+  Vec ones(k);
+  for (std::size_t i = 0; i < k; ++i) ones[i] = Rational(1);
+  const Vec p = m.Apply(ones);
+  for (std::uint64_t j = 1; j <= 4097; ++j) {
+    const Rational t =
+        Rational(1) + Rational(BigInt(1), BigInt::Pow(BigInt(2), j));
+    Vec p_prime(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      p_prime[i] = Rational::Pow(t, out.z[i].numerator().ToInt64()) * p[i];
+    }
+    const Vec alpha = inverse->Apply(p_prime);
+    if (!alpha.IsNonNegative()) continue;
+    const Rational c{alpha.CommonDenominator()};
+    out.t = t;
+    out.coeffs_d = ones * c;
+    out.coeffs_d_prime = alpha * c;
+    return out;
+  }
+  ADD_FAILURE() << "rational walk did not converge";
+  return out;
+}
+
+void ExpectCertificateMatchesRationalWalk(const DeterminacyResult& result) {
+  ASSERT_FALSE(result.determined);
+  ASSERT_TRUE(result.counterexample.has_value());
+  const BagCounterexample& cx = *result.counterexample;
+  const RationalCertificate want =
+      RationalWalk(result.analysis, cx.evaluation_matrix);
+  EXPECT_EQ(cx.z, want.z);
+  EXPECT_EQ(cx.t, want.t);
+  EXPECT_EQ(cx.coeffs_d, want.coeffs_d);
+  EXPECT_EQ(cx.coeffs_d_prime, want.coeffs_d_prime);
+  EXPECT_EQ(VerifyCounterexample(result.analysis, cx), std::nullopt);
+}
+
+TEST(CertificateDifferentialTest, CycleRampsMatchRationalWalk) {
+  // q = Σ_{i≤k} C_i, one view Σ i·C_i: the pipeline's cycle ramps.
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  for (std::size_t k = 2; k <= 8; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    Structure q_body(schema);
+    Structure v_body(schema);
+    for (std::size_t len = 1; len <= k; ++len) {
+      Structure cycle(schema);
+      for (Element i = 0; i < len; ++i) {
+        cycle.AddFact(0, {i, static_cast<Element>((i + 1) % len)});
+      }
+      q_body = DisjointUnion(q_body, cycle);
+      for (std::size_t copies = 0; copies < len; ++copies) {
+        v_body = DisjointUnion(v_body, cycle);
+      }
+    }
+    const DeterminacyResult result =
+        DecideBagDeterminacy({BooleanQueryFromStructure("v", v_body)},
+                             BooleanQueryFromStructure("q", q_body));
+    ExpectCertificateMatchesRationalWalk(result);
+  }
+}
+
+TEST(CertificateDifferentialTest, RandomInstancesMatchRationalWalk) {
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  Rng rng(55001);
+  int undetermined = 0;
+  for (int iter = 0; iter < 60 && undetermined < 16; ++iter) {
+    ConjunctiveQuery q =
+        BooleanQueryFromStructure("q", RandomQueryBody(schema, &rng));
+    std::vector<ConjunctiveQuery> views;
+    const std::size_t num_views = 1 + rng.Below(3);
+    for (std::size_t i = 0; i < num_views; ++i) {
+      views.push_back(BooleanQueryFromStructure(
+          "v" + std::to_string(i), RandomQueryBody(schema, &rng)));
+    }
+    const DeterminacyResult result = DecideBagDeterminacy(views, q);
+    if (result.determined) continue;
+    ++undetermined;
+    SCOPED_TRACE("iter " + std::to_string(iter) + " q=" + q.ToString());
+    ExpectCertificateMatchesRationalWalk(result);
+  }
+  EXPECT_GE(undetermined, 8);
 }
 
 }  // namespace

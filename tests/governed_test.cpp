@@ -25,11 +25,13 @@
 #include <vector>
 
 #include "core/basis.h"
+#include "core/counterexample.h"
 #include "core/determinacy.h"
 #include "core/distinguisher.h"
 #include "hom/domain.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
+#include "linalg/cone.h"
 #include "linalg/gauss.h"
 #include "linalg/modular_solve.h"
 #include "query/cq.h"
@@ -357,8 +359,11 @@ void ExpectSameDecision(const DeterminacyResult& got,
 }
 
 TEST_F(GovernedTest, CertificatePathNeverReturnsOkPastItsDeadline) {
+  // k = 10 and 11 keep a synthesis trip in reach: the fraction-free
+  // certificate path finishes k = 8 and 9 within a few milliseconds.
   constexpr double kOkSlackMs = 20.0;
-  for (const std::size_t k : {std::size_t{8}, std::size_t{9}}) {
+  for (const std::size_t k : {std::size_t{8}, std::size_t{9}, std::size_t{10},
+                              std::size_t{11}}) {
     const SmallInstance inst = MakeUndetermined(k);
     const DeterminacyResult baseline =
         DecideBagDeterminacy(inst.views, inst.query);
@@ -476,6 +481,77 @@ TEST_F(GovernedTest, DecideSurvivesDistinguisherExhaustion) {
   EXPECT_FALSE(healthy.determined);
   ASSERT_TRUE(healthy.counterexample.has_value());
   EXPECT_TRUE(healthy.exec_status.ok());
+}
+
+TEST_F(GovernedTest, WalkExhaustionIsTyped) {
+  // p = M·(0,1) lies on the boundary of the cone of M = [[1,1],[0,1]], and
+  // t^z ∘ p = (1, t) has coordinates (1 − t, t): the first is negative for
+  // every t > 1, so no step of the walk re-enters the cone.
+  const Mat m{{Rational(1), Rational(1)}, {Rational(0), Rational(1)}};
+  const SimplicialCone cone(m);
+  const Vec p = m.Apply(Vec{Rational(0), Rational(1)});
+  const Vec z{Rational(0), Rational(1)};
+  ExecContext exec{ExecLimits{}};
+  ExecStatus status;
+  std::optional<PerturbationWalk> walk =
+      RunGoverned(exec, &status, [&] { return WalkIntoCone(cone, p, z); });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(walk.has_value());
+  EXPECT_EQ(walk->status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(walk->status.kernel, "core.walk");
+  EXPECT_TRUE(walk->coordinates.empty());
+  // From the interior point M·𝟙 the same walk converges.
+  const PerturbationWalk inside = WalkIntoCone(cone, cone.InteriorPoint(), z);
+  ASSERT_TRUE(inside.status.ok());
+  EXPECT_EQ(inside.t, Rational(BigInt(3), BigInt(2)));
+  EXPECT_EQ(inside.coordinates, (Vec{Rational(BigInt(1), BigInt(2)),
+                                     Rational(BigInt(3), BigInt(2))}));
+}
+
+TEST_F(GovernedTest, WalkGivesUpAfterItsLastStep) {
+  // With M = [[1,1],[0,1]] and z = (0,1), the point p = (1 + ε, 1) walks to
+  // (1 + ε, t), whose coordinates (1 + ε − t, t) are nonnegative iff
+  // t = 1 + 2^-j ≤ 1 + ε. So ε = 2^-j0 is first accepted at step j0.
+  const Mat m{{Rational(1), Rational(1)}, {Rational(0), Rational(1)}};
+  const SimplicialCone cone(m);
+  const Vec z{Rational(0), Rational(1)};
+  const auto walk_with = [&](std::int64_t j0) {
+    const Rational eps(BigInt(1),
+                       BigInt::Pow(BigInt(2), static_cast<std::uint64_t>(j0)));
+    return WalkIntoCone(cone, Vec{Rational(1) + eps, Rational(1)}, z);
+  };
+  const std::int64_t last = PerturbationWalk::kMaxWalkSteps;
+  EXPECT_EQ(last, 4097);
+  const PerturbationWalk reached = walk_with(last);
+  ASSERT_TRUE(reached.status.ok());
+  const BigInt b = BigInt::Pow(BigInt(2), static_cast<std::uint64_t>(last));
+  EXPECT_EQ(reached.t, Rational(b + BigInt(1), b));
+  const PerturbationWalk beyond = walk_with(last + 1);
+  EXPECT_EQ(beyond.status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(beyond.status.kernel, "core.walk");
+}
+
+TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
+  // A context cancelled up front trips at the first forced checkpoint of
+  // each kernel, which names it.
+  const Mat m{{Rational(2), Rational(1)}, {Rational(1), Rational(1)}};
+  const SimplicialCone cone(m);
+  const auto expect_trip = [&](const char* kernel, auto&& fn) {
+    SCOPED_TRACE(kernel);
+    ExecContext exec{ExecLimits{}};
+    exec.RequestCancel();
+    ExecStatus status;
+    EXPECT_FALSE(RunGoverned(exec, &status, fn).has_value());
+    EXPECT_EQ(status.code, ExecCode::kCancelled);
+    EXPECT_EQ(status.kernel, kernel);
+  };
+  expect_trip("linalg.exact", [&] { return Inverse(m); });
+  expect_trip("linalg.exact", [&] { return InverseFractionFree(m); });
+  expect_trip("linalg.exact", [&] { return DeterminantBareiss(m); });
+  expect_trip("core.walk", [&] {
+    return WalkIntoCone(cone, cone.InteriorPoint(),
+                        Vec{Rational(1), Rational(-1)});
+  });
 }
 
 // --- Governed modular driver -------------------------------------------------

@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "linalg/gauss.h"
 #include "linalg/matrix.h"
 #include "util/bigint.h"
 #include "util/rational.h"
@@ -145,6 +147,29 @@ inline Mat RandomSparseMatrix(Rng* rng, std::size_t rows, std::size_t cols,
     }
   }
   return m;
+}
+
+/// Reference inverse: rational Gauss–Jordan elimination on [A | I] over
+/// the exact RREF — the body Inverse had before it became fraction-free,
+/// kept as the differential oracle. std::nullopt when singular.
+inline std::optional<Mat> GaussJordanInverse(const Mat& m) {
+  if (m.rows() != m.cols()) return std::nullopt;
+  const std::size_t n = m.rows();
+  if (n == 0) return Mat(0, 0);
+  Mat aug(n, 2 * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) aug.At(r, c) = m.At(r, c);
+    aug.At(r, n + r) = Rational(1);
+  }
+  Rref rref = ReduceToRrefExact(std::move(aug));
+  if (rref.rank < n || rref.pivots[n - 1] >= n) return std::nullopt;
+  Mat inverse(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      inverse.At(r, c) = rref.matrix.At(r, n + c);
+    }
+  }
+  return inverse;
 }
 
 // --- Differential-harness knobs (the nightly CI job drives these) --------
