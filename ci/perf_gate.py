@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf-regression gate over google-benchmark JSON output.
 
-The CI perf-gate job regenerates the pinned thread-sweep benchmarks with
+The CI perf-gate job regenerates the pinned benchmark sweeps with
 ``--benchmark_format=json`` and this script compares them against a
 committed per-runner baseline, failing the job when any pinned benchmark's
 wall clock regresses beyond the noise tolerance. Stdlib-only by design —
@@ -16,7 +16,7 @@ check        Compare current runs against a baseline. Exit 1 on any
 baseline     Write a baseline file from current runs (the refresh path:
              run the perf-gate workflow, download the candidate artifact,
              commit it under ci/perf-baselines/<runner>.json).
-sweep-entry  Convert a thread-sweep benchmark JSON into the per-machine
+sweep-entry  Convert a pinned-sweep benchmark JSON into the per-machine
              entry format committed in BENCH_concurrency.json.
 selftest     Prove the gate can fail: synthesize a baseline and a current
              run 30% slower, assert check() rejects it (and accepts the
@@ -30,8 +30,7 @@ Baseline format::
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-dispatch-sensitive sweeps (modular thread sweep, decide loop) and
-counterexample synthesis, not every microbenchmark, so a refactor adding
+exact inverse sweep, the decide loop and counterexample synthesis, not every microbenchmark, so a refactor adding
 benches does not invalidate baselines.
 """
 
@@ -39,11 +38,10 @@ import argparse
 import json
 import sys
 
-# Benchmarks worth gating: the thread sweeps whose shape the tuning
-# subsystem exists to keep honest, the end-to-end decide loop, and
-# counterexample synthesis (cone inverse + Lemma-57 walk).
+# Benchmarks worth gating: the exact inverse sweep behind the cone, the
+# end-to-end decide loop, and counterexample synthesis (cone inverse +
+# Lemma-57 walk).
 PINNED_PREFIXES = (
-    "BM_ModularRrefManyPrimes",
     "BM_ModularInverse",
     "BM_DecideDetermined",
     "BM_SynthesizeCounterexample",
@@ -195,8 +193,8 @@ def cmd_sweep_entry(args):
 
 def cmd_selftest(_args):
     base_times = {
-        "BM_ModularRrefManyPrimes/12/4": {"real_time_ns": 1e6,
-                                          "cpu_time_ns": 1e6},
+        "BM_SynthesizeCounterexample/4": {"real_time_ns": 1e6,
+                                           "cpu_time_ns": 1e6},
         "BM_DecideDetermined/4": {"real_time_ns": 2e6, "cpu_time_ns": 2e6},
     }
     baseline = make_baseline("selftest", "selftest", base_times,
@@ -230,8 +228,8 @@ def cmd_selftest(_args):
 
     missing = dict(slowed)
     del missing["BM_DecideDetermined/4"]
-    missing["BM_ModularRrefManyPrimes/12/4"] = base_times[
-        "BM_ModularRrefManyPrimes/12/4"]
+    missing["BM_SynthesizeCounterexample/4"] = base_times[
+        "BM_SynthesizeCounterexample/4"]
     failures, _ = check(baseline, missing)
     if not failures:
         print("selftest: gate ignored a missing pinned benchmark",

@@ -17,21 +17,9 @@ std::size_t RationalBitLength(const Rational& value) {
   return value.numerator().BitLength() + value.denominator().BitLength();
 }
 
-/// The modular driver pays a fixed cost (prime setup, residue extraction,
-/// verification); below a 3×3 the exact elimination is trivially cheap and
-/// always wins.
-bool UseModularPath(const Mat& m) { return m.rows() >= 3 && m.cols() >= 3; }
-
 }  // namespace
 
 Rref ReduceToRref(Mat m) {
-  if (UseModularPath(m)) {
-    if (std::optional<Rref> fast = TryModularRref(m)) return std::move(*fast);
-  }
-  return ReduceToRrefExact(std::move(m));
-}
-
-Rref ReduceToRrefExact(Mat m) {
   Rref result;
   const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
@@ -75,27 +63,21 @@ Rref ReduceToRrefExact(Mat m) {
 }
 
 std::size_t Rank(const Mat& m) {
-  if (UseModularPath(m)) {
-    // A single-prime elimination gives a certified lower bound; when it
-    // saturates min(rows, cols) the exact rank is known with no exact
-    // arithmetic at all (the common case for the pipeline's full-rank
-    // evaluation matrices).
-    const std::size_t max_rank = std::min(m.rows(), m.cols());
-    std::optional<std::size_t> probe = ModularRankLowerBound(m);
-    if (probe.has_value() && *probe == max_rank) return max_rank;
-    if (std::optional<Rref> fast = TryModularRref(m)) return fast->rank;
+  // A single-prime elimination gives a certified lower bound; when it
+  // saturates min(rows, cols) the exact rank is known with no exact
+  // arithmetic at all.
+  std::optional<std::size_t> probe = ModularRankLowerBound(m);
+  if (probe.has_value() && *probe == std::min(m.rows(), m.cols())) {
+    return *probe;
   }
-  return ReduceToRrefExact(m).rank;
+  return ReduceToRref(m).rank;
 }
 
 bool IsNonsingular(const Mat& m) {
   if (m.rows() != m.cols()) return false;
-  if (UseModularPath(m)) {
-    // det(A) mod p != 0 certifies nonsingularity outright; otherwise fall
-    // through to the certified rank (which itself starts modular).
-    std::optional<bool> probe = ModularNonsingularProbe(m);
-    if (probe.has_value()) return *probe;
-  }
+  // det(A) mod p != 0 certifies nonsingularity outright.
+  std::optional<bool> probe = ModularNonsingularProbe(m);
+  if (probe.has_value()) return *probe;
   return Rank(m) == m.rows();
 }
 
@@ -170,7 +152,7 @@ std::optional<ScaledInverse> InverseFractionFree(const Mat& m) {
   // block ends as d·I and the right block as R.
   BigInt prev(1);
   for (std::size_t k = 0; k < n; ++k) {
-    // One forced clock read per pivot row, like ReduceToRrefExact.
+    // One forced clock read per pivot row, like ReduceToRref.
     if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("linalg.exact");
     std::size_t found = n;
     std::size_t found_bits = 0;

@@ -2,18 +2,15 @@
 // relies on (Fact 5: orthogonal witnesses; Lemma 46: Vandermonde
 // nonsingularity; span tests behind the Main Lemma 31).
 //
-// Modular dispatch: ReduceToRref, Rank, and IsNonsingular route through
-// the certified multi-modular driver (linalg/modular_solve.h) whenever the
-// matrix is big enough to benefit, falling back to plain exact elimination
-// when the driver declines (unlucky primes, exhausted prime budget).
-// Results are bit-for-bit identical either way — the driver verifies every
-// lifted answer exactly before returning it, with a fresh-prime residual
-// pre-check screening bad candidates in word-size arithmetic first.
-// SolveLinearSystem, NullspaceBasis, TestSpanMembership, and
-// OrthogonalWitness inherit the fast path through ReduceToRref;
-// Determinant uses fraction-free Bareiss elimination for the dense-integer
-// case. ReduceToRrefExact is the always-exact reference implementation
-// (also the differential-test and benchmarking baseline).
+// ReduceToRref is one exact elimination over Q, and SolveLinearSystem,
+// NullspaceBasis, TestSpanMembership and OrthogonalWitness all run on it.
+// Its inputs are the multiplicity vectors of the span test (Main Lemma 31):
+// a few rows of small integers, where exact arithmetic is cheap. Rank and
+// IsNonsingular first ask a single-prime probe (linalg/modular_solve.h),
+// which settles full rank or nonsingularity in word-size arithmetic; an
+// inconclusive probe falls back to the exact rank, so the answer never
+// depends on the prime. Determinant uses fraction-free Bareiss
+// elimination for the dense-integer case.
 //
 // Inverse has one exact path, with no rational arithmetic until its last
 // step: InverseFractionFree clears each row's denominators (N = D·M) and
@@ -23,10 +20,11 @@
 // Its one pipeline caller, the SimplicialCone of the negative certificate,
 // keeps R, D and d and never builds the rational inverse at all.
 //
-// Governance: the exact eliminations (ReduceToRrefExact,
-// InverseFractionFree, hence Inverse, and DeterminantBareiss) force a
-// deadline check on the current ExecContext once per pivot row, so a
-// governed caller trips within one row of its deadline.
+// Governance: the exact eliminations (ReduceToRref, hence every consumer
+// above, InverseFractionFree, hence Inverse, and DeterminantBareiss) force
+// a deadline check on the current ExecContext once per pivot row, kernel
+// "linalg.exact", so a governed caller trips within one row of its
+// deadline.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -45,18 +43,17 @@ struct Rref {
   std::size_t rank = 0;
 };
 
-/// Reduced row echelon form (modular fast path + exact fallback; see the
-/// file comment).
+/// Reduced row echelon form by exact elimination over Q. Each pivot is
+/// the entry of shortest bit length in its column, which curbs coefficient
+/// growth.
 Rref ReduceToRref(Mat m);
 
-/// Reduced row echelon form via exact fraction arithmetic only — the
-/// reference path every modular result is pinned against.
-Rref ReduceToRrefExact(Mat m);
-
-/// Rank of a matrix.
+/// Rank of a matrix: the modular probe when it reaches min(rows, cols),
+/// else the exact RREF's rank.
 std::size_t Rank(const Mat& m);
 
-/// True iff the square matrix is nonsingular.
+/// True iff the square matrix is nonsingular: the modular determinant
+/// probe when it certifies, else Rank.
 bool IsNonsingular(const Mat& m);
 
 /// Determinant of a square matrix. Dispatches to fraction-free Bareiss

@@ -45,42 +45,6 @@ std::optional<ModMat> ModMat::FromRationalMat(const Zp* zp, const Mat& m) {
   return result;
 }
 
-ModRref ModMat::RrefInPlace() {
-  ModRref result;
-  const Zp& zp = *zp_;
-  std::size_t pivot_row = 0;
-  for (std::size_t col = 0; col < cols_ && pivot_row < rows_; ++col) {
-    std::size_t found = rows_;
-    for (std::size_t r = pivot_row; r < rows_; ++r) {
-      if (At(r, col) != 0) {
-        found = r;
-        break;
-      }
-    }
-    if (found == rows_) continue;
-    if (found != pivot_row) {
-      std::swap_ranges(RowPtr(found), RowPtr(found) + cols_,
-                       RowPtr(pivot_row));
-    }
-    std::uint64_t* pivot = RowPtr(pivot_row);
-    std::uint64_t inv = zp.Inv(pivot[col]);
-    for (std::size_t c = col; c < cols_; ++c) pivot[c] = zp.Mul(pivot[c], inv);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      if (r == pivot_row) continue;
-      std::uint64_t* row = RowPtr(r);
-      std::uint64_t factor = row[col];
-      if (factor == 0) continue;
-      for (std::size_t c = col; c < cols_; ++c) {
-        row[c] = zp.Sub(row[c], zp.Mul(factor, pivot[c]));
-      }
-    }
-    result.pivots.push_back(col);
-    ++pivot_row;
-  }
-  result.rank = pivot_row;
-  return result;
-}
-
 std::size_t ModMat::RankDestructive() {
   const Zp& zp = *zp_;
   std::size_t pivot_row = 0;

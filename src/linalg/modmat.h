@@ -1,14 +1,11 @@
 // bagdet: word-size modular arithmetic and dense matrices over Z/p.
 //
-// The modular fast path (linalg/modular_solve.h) runs Gaussian elimination
-// over Z/p for 62-bit primes p instead of over Q, where the rational
-// pipeline's coefficients — built from astronomically large hom counts —
-// blow up super-linearly per elimination step. Everything here is plain
-// 64-bit word arithmetic: Zp is a Montgomery-reduction context for one
-// prime, ModMat is a flat row-major residue matrix with cache-friendly
-// row-sweep elimination. Exactness is restored one layer up by CRT +
-// rational reconstruction + an exact verification step; this layer is
-// purely about making the per-prime work as fast as the hardware allows.
+// The single-prime probes (linalg/modular_solve.h) eliminate over Z/p for a
+// 62-bit prime p instead of over Q, where the good-basis evaluation
+// matrix's radix-sized hom counts would make every rational step costly.
+// Everything here is plain 64-bit word arithmetic: Zp is a
+// Montgomery-reduction context for one prime, ModMat is a flat row-major
+// residue matrix with cache-friendly row-sweep elimination.
 
 #ifndef BAGDET_LINALG_MODMAT_H_
 #define BAGDET_LINALG_MODMAT_H_
@@ -74,12 +71,6 @@ class Zp {
   std::uint64_t one_;        // 2^64 mod p (Montgomery 1).
 };
 
-/// Pivot structure of a mod-p reduced row echelon form.
-struct ModRref {
-  std::vector<std::size_t> pivots;  ///< Pivot column per pivot row.
-  std::size_t rank = 0;
-};
-
 /// Dense matrix over Z/p, flat row-major, entries in Montgomery form.
 class ModMat {
  public:
@@ -88,7 +79,7 @@ class ModMat {
 
   /// Reduces a rational matrix mod p (entry a/b ↦ a·b^{-1}). Returns
   /// std::nullopt when some denominator vanishes mod p — that prime is
-  /// unusable for this matrix and the driver skips it.
+  /// unusable for this matrix and the probe skips it.
   static std::optional<ModMat> FromRationalMat(const Zp* zp, const Mat& m);
 
   std::size_t rows() const { return rows_; }
@@ -99,12 +90,6 @@ class ModMat {
   std::uint64_t At(std::size_t r, std::size_t c) const {
     return entries_[r * cols_ + c];
   }
-
-  /// In-place Gauss–Jordan reduction to RREF over Z/p. Deterministic
-  /// (first nonzero entry pivots — mod p there is no growth to curb), so
-  /// two primes that agree on (rank, pivots) produce residues of the same
-  /// rational RREF.
-  ModRref RrefInPlace();
 
   /// Rank only: forward elimination without back-substitution or row
   /// normalization (the cheap probe used by rank lower bounds).

@@ -2,8 +2,8 @@
 // byte-accounted memory budgets for the determinacy pipeline.
 //
 // The serving story (ROADMAP: always-on determinacy service) needs every
-// unbounded kernel — the hom-count DP, the canonical search, the modular
-// driver's per-prime fan-out, the Hilbert frontier — to stop cleanly when a
+// unbounded kernel — the hom-count DP, the canonical search, the exact
+// eliminations, the Hilbert frontier — to stop cleanly when a
 // request exceeds its limits, report *why* and *where*, and leave shared
 // state (StructurePool, HomCache) consistent. ExecContext is that contract:
 //
@@ -154,7 +154,7 @@ class ExecContext {
   }
 
   /// Forced check (always reads the clock). For coarse boundaries — once
-  /// per CRT prime fold, per search branch — where a checkpoint is cheap
+  /// per exact pivot row, per search branch — where a checkpoint is cheap
   /// relative to the work and prompt trips are wanted.
   void CheckNow(const char* kernel);
 
@@ -246,11 +246,11 @@ class ExecScope {
   exec_internal::ExecTlsState saved_;
 };
 
-/// RAII for transient kernel memory (DP tables, CRT residue pools, Hilbert
-/// grids): Update(total) charges growth / releases shrinkage against the
-/// current context, and the destructor releases whatever is still held —
-/// including during an ExecInterrupted unwind, so a tripped request does
-/// not leave phantom bytes charged. No-op when ungoverned.
+/// RAII for transient kernel memory (DP tables, BigInt arena blocks,
+/// Hilbert grids): Update(total) charges growth / releases shrinkage
+/// against the current context, and the destructor releases whatever is
+/// still held — including during an ExecInterrupted unwind, so a tripped
+/// request does not leave phantom bytes charged. No-op when ungoverned.
 class ScopedCharge {
  public:
   explicit ScopedCharge(const char* kernel)

@@ -2,8 +2,8 @@
 //
 // The robustness story of the governed-execution layer (exec_context.h) is
 // only as good as its worst unwind path, so instead of hoping the DP, the
-// canonical search, or the CRT fold handle mid-flight cancellation and
-// allocation failure, the test suite *injects* those faults at named
+// canonical search, or the service dispatch handle mid-flight cancellation
+// and allocation failure, the test suite *injects* those faults at named
 // sites and asserts clean unwind + consistent caches + bit-identical
 // reruns.
 //
@@ -33,7 +33,6 @@
 //   canonical/branch   once per individualization-refinement branch
 //   pool/intern        before a StructurePool entry is created
 //   homcache/insert    before a HomCache insert mutates the shard
-//   modular/crt_fold   once per accepted prime folded into the CRT state
 //   hilbert/entry      once per Hilbert summary grid entry
 //   bigint/alloc       BigInt limb spill commit (CommitSpan/SetMagnitude)
 //                      and limb-arena block growth — kBadAlloc models

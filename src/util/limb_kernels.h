@@ -1,10 +1,10 @@
 // bagdet: span-based limb kernels and the per-thread scratch arena backing
 // BigInt's heap representation.
 //
-// The multi-modular tail (CRT residue folds, Wang reconstruction)
-// executes millions of short BigInt operations whose operands hover
-// around a steady-state size. Before this layer existed, every such
-// operation copied its operands into fresh `std::vector` limb
+// The exact eliminations (fraction-free Bareiss and Gauss–Jordan, the
+// rational RREF) execute millions of short BigInt operations whose
+// operands hover around a steady-state size. Before this layer existed,
+// every such operation copied its operands into fresh `std::vector` limb
 // buffers and allocated another one for the result — the malloc traffic the
 // ROADMAP's "BigInt/allocation overhaul" item measured as the dominant
 // tail. The kernels here are destination-passing instead: callers hand in

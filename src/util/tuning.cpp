@@ -25,8 +25,6 @@ struct KeySpec {
 };
 
 const KeySpec kKeys[] = {
-    {"modular_num_threads", nullptr, &TuningProfile::modular_num_threads, 0,
-     4096},
     {"order_search_max_atoms", nullptr, &TuningProfile::order_search_max_atoms,
      0, 16},
     {"domain_min_work", &TuningProfile::domain_min_work, nullptr, 0,

@@ -1,21 +1,21 @@
 // bagdet: machine-calibrated dispatch tuning.
 //
-// Every fast-path gate in the pipeline — the modular driver's fan-out, the
-// hom-core order-search and domain-engage thresholds, thread-pool width,
-// cache budgets — started life as a constant measured on the 1-core
-// reference host (see BENCH_*.json). On any other machine those
+// Every fast-path gate in the pipeline — the hom-core order-search and
+// domain-engage thresholds, thread-pool width, cache budgets — started
+// life as a constant measured on the 1-core reference host (see
+// BENCH_*.json). On any other machine those
 // constants are dispatch decisions calibrated for someone else's hardware.
 // TuningProfile gathers them into one struct the library reads as
 // *defaults*: a profile file produced by the `bagdet_tune` calibration
 // sweep (tools/bagdet_tune.cpp) re-points every gate at the crossovers
 // measured on the machine that actually runs the workload, while explicit
-// per-call options (ModularOptions, DpOptions, ServiceOptions fields set
-// by the caller) continue to override exactly as before.
+// per-call options (DpOptions, ServiceOptions fields set by the caller)
+// continue to override exactly as before.
 //
 // Correctness contract: every knob here is DISPATCH-ONLY. Each gated path
-// is bit-identical to its alternative (the modular drivers verify against
-// exact certificates, the hom gates only prune or reorder one serial DP,
-// eviction only recomputes), so any profile — including an adversarial
+// is bit-identical to its alternative (the hom gates only prune or reorder
+// one serial DP, eviction only recomputes, the thread count only changes
+// which lane computes a count), so any profile — including an adversarial
 // one that forces every gate on or off — changes wall-clock, never
 // results. This is pinned by tests/tuning_test.cpp's extreme-profile
 // differential.
@@ -54,11 +54,6 @@ namespace bagdet {
 /// reproduces pre-profile behavior bit-for-bit (it *is* the old constant
 /// table).
 struct TuningProfile {
-  // --- linalg/modular_solve: multi-modular driver --------------------------
-  /// ModularOptions::num_threads default (0 = the global pool's width,
-  /// with the measured small-matrix serial guard; 1 = force serial).
-  std::size_t modular_num_threads = 0;
-
   // --- hom core (hom/hom.h DpOptions defaults) -----------------------------
   /// DpOptions::order_search_max_atoms default (0 disables the exact
   /// subset-DP order search; hard engine cap is 16 atoms).

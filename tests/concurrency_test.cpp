@@ -1,8 +1,7 @@
 // Stress and differential tests for the concurrent serving core: the
 // ThreadPool/ParallelFor primitive, the sharded StructurePool under racing
-// interns, the size-bounded HomCache (budgets respected, evicted entries
-// recompute identically), and the parallel multi-modular driver (bit-
-// identical to the serial path at every thread count). Threads here are
+// interns, and the size-bounded HomCache (budgets respected, evicted
+// entries recompute identically). Threads here are
 // raw std::threads deliberately oversubscribing the host so the races are
 // real even on a single-core runner; the TSan CI job runs this whole file.
 
@@ -17,12 +16,8 @@
 
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
-#include "linalg/gauss.h"
-#include "linalg/matrix.h"
-#include "linalg/modular_solve.h"
 #include "structs/pool.h"
 #include "structs/structure.h"
-#include "test_matrices.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -277,88 +272,6 @@ TEST(BoundedHomCacheTest, ConcurrentBatchesAgreeWithUncachedCounts) {
   const HomCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             kThreads * 20u * static_cast<std::uint64_t>(pairs.size()));
-}
-
-// --- Parallel multi-modular driver ------------------------------------------
-
-Mat RandomHugeMatrix(Rng* rng) {
-  // Up to 11x11 so a good share of draws also clears the driver's
-  // auto-mode size gate; the explicit num_threads below forces the
-  // parallel stages regardless. 128-bit entries via the shared generator
-  // (tests/test_matrices.h).
-  const std::size_t rows = 4 + rng->Below(8);
-  const std::size_t cols = 4 + rng->Below(8);
-  return testmat::RandomBigMatrix(rng, rows, cols, 4);
-}
-
-TEST(ParallelModularTest, ParallelRrefIsBitIdenticalToSerial) {
-  Rng rng(20260730);
-  int compared = 0;
-  for (int i = 0; i < 40; ++i) {
-    Mat m = RandomHugeMatrix(&rng);
-    ModularOptions serial;
-    serial.num_threads = 1;
-    ModularOptions parallel;
-    parallel.num_threads = 8;  // Oversubscribes a small host on purpose.
-    std::optional<Rref> s = TryModularRref(m, serial);
-    std::optional<Rref> p = TryModularRref(m, parallel);
-    ASSERT_EQ(s.has_value(), p.has_value()) << "case " << i;
-    if (!s.has_value()) continue;
-    ++compared;
-    EXPECT_EQ(s->rank, p->rank);
-    EXPECT_EQ(s->pivots, p->pivots);
-    EXPECT_EQ(s->matrix, p->matrix);
-    // Both must also equal the exact reference, not just each other.
-    Rref exact = ReduceToRrefExact(m);
-    EXPECT_EQ(p->matrix, exact.matrix);
-  }
-  EXPECT_GT(compared, 0);
-}
-
-TEST(ParallelModularTest, ParallelDriverHonorsInjectedPrimeLists) {
-  // A short injected list whose head primes get skipped/rejected exercises
-  // the batched fold's exhaustion and closing-attempt paths.
-  Rng rng(5);
-  Mat m = RandomHugeMatrix(&rng);
-  const std::vector<std::uint64_t>& good = ModularPrimes(24);
-  ModularOptions serial;
-  serial.num_threads = 1;
-  serial.primes = &good;
-  ModularOptions parallel = serial;
-  parallel.num_threads = 4;
-  std::optional<Rref> s = TryModularRref(m, serial);
-  std::optional<Rref> p = TryModularRref(m, parallel);
-  ASSERT_EQ(s.has_value(), p.has_value());
-  if (s.has_value()) {
-    EXPECT_EQ(s->matrix, p->matrix);
-    EXPECT_EQ(s->pivots, p->pivots);
-  }
-}
-
-TEST(ParallelModularTest, ConcurrentDriversShareThePrimeTableSafely) {
-  // Many simultaneous TryModularRref calls extend and read the shared
-  // prime table; each must still match the exact reference.
-  Rng seed_rng(11);
-  std::vector<Mat> mats;
-  std::vector<Rref> exact;
-  for (int i = 0; i < 8; ++i) {
-    mats.push_back(RandomHugeMatrix(&seed_rng));
-    exact.push_back(ReduceToRrefExact(mats.back()));
-  }
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      ModularOptions options;
-      options.num_threads = 1 + static_cast<std::size_t>(t % 3);
-      std::optional<Rref> got = TryModularRref(mats[t], options);
-      if (!got.has_value() || got->matrix != exact[t].matrix) {
-        failures.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

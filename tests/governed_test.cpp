@@ -535,6 +535,10 @@ TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
   // A context cancelled up front trips at the first forced checkpoint of
   // each kernel, which names it.
   const Mat m{{Rational(2), Rational(1)}, {Rational(1), Rational(1)}};
+  const Mat wide{{Rational(1), Rational(2), Rational(3), Rational(4)},
+                 {Rational(2), Rational(0), Rational(1), Rational(5)},
+                 {Rational(0), Rational(3), Rational(1), Rational(1)}};
+  const std::vector<Vec> basis = {wide.Row(0), wide.Row(1)};
   const SimplicialCone cone(m);
   const auto expect_trip = [&](const char* kernel, auto&& fn) {
     SCOPED_TRACE(kernel);
@@ -548,29 +552,13 @@ TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
   expect_trip("linalg.exact", [&] { return Inverse(m); });
   expect_trip("linalg.exact", [&] { return InverseFractionFree(m); });
   expect_trip("linalg.exact", [&] { return DeterminantBareiss(m); });
+  expect_trip("linalg.exact", [&] { return ReduceToRref(wide); });
+  expect_trip("linalg.exact",
+              [&] { return TestSpanMembership(basis, wide.Row(2)); });
   expect_trip("core.walk", [&] {
     return WalkIntoCone(cone, cone.InteriorPoint(),
                         Vec{Rational(1), Rational(-1)});
   });
-}
-
-// --- Governed modular driver -------------------------------------------------
-
-TEST_F(GovernedTest, GovernedModularRrefMatchesExact) {
-  Mat m(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      m.At(i, j) = Rational(BigInt::Pow(BigInt(3), 20 + i * 4 + j) +
-                            BigInt(static_cast<std::int64_t>(i * j + 1)));
-    }
-  }
-  ExecContext exec{ExecLimits{}};
-  GovernedRref governed = TryModularRrefGoverned(m, exec);
-  ASSERT_TRUE(governed.status.ok());
-  ASSERT_TRUE(governed.rref.has_value());
-  Rref exact = ReduceToRrefExact(m);
-  EXPECT_EQ(governed.rref->matrix, exact.matrix);
-  EXPECT_EQ(governed.rref->rank, exact.rank);
 }
 
 // --- Failpoint registry ------------------------------------------------------
@@ -700,34 +688,6 @@ TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
       DecideBagDeterminacyGoverned(views, query, DeterminacyOptions(), fresh);
   ASSERT_TRUE(rerun.result.has_value());
   EXPECT_EQ(rerun.result->Summary(), baseline.Summary());
-}
-
-TEST_F(GovernedTest, InjectedCancelMidCrtFold) {
-  if (!failpoint::Enabled()) {
-    GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
-  }
-  Mat m(4, 4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      m.At(i, j) = Rational(BigInt::Pow(BigInt(5), 30 + i * 4 + j) +
-                            BigInt(static_cast<std::int64_t>(i + j)));
-    }
-  }
-  const Rref exact = ReduceToRrefExact(m);
-  failpoint::Config cfg;
-  cfg.action = failpoint::Action::kCancel;
-  cfg.hit_on = 1;
-  failpoint::Arm("modular/crt_fold", cfg);
-  ExecContext exec{ExecLimits{}};
-  GovernedRref tripped = TryModularRrefGoverned(m, exec);
-  EXPECT_FALSE(tripped.rref.has_value());
-  EXPECT_EQ(tripped.status.code, ExecCode::kCancelled);
-  failpoint::DisarmAll();
-  ExecContext fresh{ExecLimits{}};
-  GovernedRref rerun = TryModularRrefGoverned(m, fresh);
-  ASSERT_TRUE(rerun.status.ok());
-  ASSERT_TRUE(rerun.rref.has_value());
-  EXPECT_EQ(rerun.rref->matrix, exact.matrix);
 }
 
 TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {

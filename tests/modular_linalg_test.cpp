@@ -1,9 +1,10 @@
-// Differential suite for the certified multi-modular linear algebra
-// driver (linalg/modular_solve.h): the modular fast path must return
-// results bit-for-bit identical to plain exact elimination on every input
-// — random dense, singular, underdetermined, huge-entry, rational, and
-// adversarial unlucky-prime matrices — and must decline (so the caller
-// falls back to the exact path) when it is fed only bad primes.
+// Suite for the modular layer (linalg/modular_solve.h, linalg/modmat.h):
+// the single-prime rank and nonsingularity probes never claim more than
+// the exact answer, decline when fed only bad primes (so Rank and
+// IsNonsingular fall back to exact elimination), and skip primes that
+// divide a denominator; the Bareiss determinant matches plain elimination;
+// Zp's Montgomery arithmetic matches naive arithmetic. The RREF property
+// suite is tests/modular_verify_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -26,138 +27,10 @@ Rational Q(std::int64_t n, std::int64_t d = 1) {
   return Rational(BigInt(n), BigInt(d));
 }
 
-// The head of the driver's built-in prime sequence.
+// The head of the probes' built-in prime table.
 constexpr std::uint64_t kFirstPrime = 4611686018427387847ull;
 
-/// The six entry/shape regimes the suite sweeps. Every regime includes
-/// rank-deficient shapes (wide/tall dims) by construction.
-enum class Regime {
-  kSmallInt,        // Dense entries in [-9, 9].
-  kSmallRational,   // Entries a/b with small a, b.
-  kHugeInt,         // 128–256 bit hom-count-sized integer entries.
-  kLowRank,         // Product of thin factors: provably singular.
-  kHugeLowRank,     // Rank-deficient AND huge: the lift reconstructs
-                    // genuinely large rationals (not just an identity).
-  kDuplicatedRows,  // Underdetermined: repeated/scaled rows.
-  kUnluckyPrime,    // Every entry divisible by the driver's first prime.
-};
-
-Mat RandomMatrixFor(Regime regime, Rng* rng) {
-  const std::size_t rows = 1 + rng->Below(7);
-  const std::size_t cols = 1 + rng->Below(7);
-  Mat m(rows, cols);
-  switch (regime) {
-    case Regime::kSmallInt:
-      m = testmat::RandomIntMatrix(rng, rows, cols, -9, 9);
-      break;
-    case Regime::kSmallRational:
-      m = testmat::RandomRationalMatrix(rng, rows, cols, 12, 12);
-      break;
-    case Regime::kHugeInt:
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          m.At(r, c) = Rational(testmat::RandomBigSigned(
-              rng, 4 + static_cast<int>(rng->Below(5))));
-        }
-      }
-      break;
-    case Regime::kLowRank: {
-      const std::size_t inner = 1 + rng->Below(3);  // rank <= inner.
-      Mat left(rows, inner);
-      Mat right(inner, cols);
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < inner; ++c) {
-          left.At(r, c) = Q(rng->Range(-5, 5));
-        }
-      }
-      for (std::size_t r = 0; r < inner; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          right.At(r, c) = Q(rng->Range(-5, 5));
-        }
-      }
-      m = left.Multiply(right);
-      break;
-    }
-    case Regime::kHugeLowRank: {
-      const std::size_t inner = 1 + rng->Below(2);
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (r < inner) {
-          for (std::size_t c = 0; c < cols; ++c) {
-            BigInt v = RandomBig(rng, 4 + static_cast<int>(rng->Below(4)));
-            if (rng->Chance(1, 2)) v = -v;
-            m.At(r, c) = Rational(std::move(v));
-          }
-        } else {
-          for (std::size_t c = 0; c < cols; ++c) {
-            Rational sum;
-            for (std::size_t i = 0; i < inner; ++i) {
-              sum += m.At(i, c) * Q(rng->Range(-3, 3));
-            }
-            m.At(r, c) = sum;
-          }
-        }
-      }
-      break;
-    }
-    case Regime::kDuplicatedRows:
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (r > 0 && rng->Chance(1, 2)) {
-          const std::size_t src = rng->Below(r);
-          const Rational scale = Q(rng->Range(-3, 3));
-          for (std::size_t c = 0; c < cols; ++c) {
-            m.At(r, c) = m.At(src, c) * scale;
-          }
-        } else {
-          for (std::size_t c = 0; c < cols; ++c) {
-            m.At(r, c) = Q(rng->Range(-6, 6));
-          }
-        }
-      }
-      break;
-    case Regime::kUnluckyPrime: {
-      // Residue matrix is identically zero mod the first prime; the
-      // consensus logic must discard it once a later prime shows rank.
-      const Rational p(BigInt(static_cast<std::int64_t>(kFirstPrime)));
-      for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t c = 0; c < cols; ++c) {
-          m.At(r, c) = p * Q(rng->Range(-4, 4));
-        }
-      }
-      break;
-    }
-  }
-  return m;
-}
-
-void ExpectRrefEqual(const Rref& a, const Rref& b) {
-  EXPECT_EQ(a.rank, b.rank);
-  EXPECT_EQ(a.pivots, b.pivots);
-  EXPECT_EQ(a.matrix, b.matrix);
-}
-
-TEST(ModularDifferentialTest, PinsExactRrefOn420RandomMatrices) {
-  const Regime regimes[] = {Regime::kSmallInt,       Regime::kSmallRational,
-                            Regime::kHugeInt,        Regime::kLowRank,
-                            Regime::kHugeLowRank,    Regime::kDuplicatedRows,
-                            Regime::kUnluckyPrime};
-  Rng rng(20260729);
-  int modular_successes = 0;
-  for (const Regime regime : regimes) {
-    for (int i = 0; i < 60; ++i) {
-      Mat m = RandomMatrixFor(regime, &rng);
-      Rref exact = ReduceToRrefExact(m);
-      std::optional<Rref> fast = TryModularRref(m);
-      ASSERT_TRUE(fast.has_value())
-          << "modular driver declined on regime "
-          << static_cast<int>(regime) << " case " << i;
-      ++modular_successes;
-      ExpectRrefEqual(*fast, exact);
-      // The public dispatching entry point must agree as well.
-      ExpectRrefEqual(ReduceToRref(m), exact);
-    }
-  }
-  EXPECT_EQ(modular_successes, 420);
-}
+using testmat::Regime;
 
 TEST(ModularDifferentialTest, RankAndNonsingularAgreeWithExact) {
   const Regime regimes[] = {Regime::kSmallInt, Regime::kLowRank,
@@ -166,8 +39,8 @@ TEST(ModularDifferentialTest, RankAndNonsingularAgreeWithExact) {
   Rng rng(42);
   for (const Regime regime : regimes) {
     for (int i = 0; i < 25; ++i) {
-      Mat m = RandomMatrixFor(regime, &rng);
-      const std::size_t exact_rank = ReduceToRrefExact(m).rank;
+      Mat m = testmat::RandomRegimeMatrix(regime, &rng);
+      const std::size_t exact_rank = ReduceToRref(m).rank;
       EXPECT_EQ(Rank(m), exact_rank);
       if (m.rows() == m.cols()) {
         EXPECT_EQ(IsNonsingular(m), exact_rank == m.rows());
@@ -232,36 +105,29 @@ TEST(ModularDifferentialTest, BareissDeterminantMatchesExact) {
 }
 
 TEST(ModularFallbackTest, DeclinesWhenFedOnlyBadPrimesAndExactPathServes) {
-  // 4×4 integer matrix of rank 3 whose entries are all multiples of the
-  // injected prime: mod p the matrix is zero, so rank-0 "consensus" never
-  // verifies against the nonzero exact rows.
+  // Every entry is a multiple of the injected prime: mod p the matrix is
+  // zero, so neither probe can certify anything.
   Rng rng(99);
-  Mat m = RandomMatrixFor(Regime::kUnluckyPrime, &rng);
-  ASSERT_GT(ReduceToRrefExact(m).rank, 0u);
+  Mat m = testmat::RandomRegimeMatrix(Regime::kUnluckyPrime, &rng);
+  const std::size_t exact_rank = ReduceToRref(m).rank;
+  ASSERT_GT(exact_rank, 0u);
 
-  std::vector<std::uint64_t> bad_primes = {kFirstPrime};
-  ModularOptions bad;
-  bad.primes = &bad_primes;
-  bad.max_primes = bad_primes.size();
-  EXPECT_FALSE(TryModularRref(m, bad).has_value());
-  EXPECT_FALSE(ModularRankLowerBound(m, bad).has_value() &&
-               *ModularRankLowerBound(m, bad) > 0);
+  const std::vector<std::uint64_t> bad = {kFirstPrime};
+  EXPECT_EQ(ModularRankLowerBound(m, bad), std::optional<std::size_t>(0));
   EXPECT_FALSE(ModularNonsingularProbe(m, bad).has_value());
 
-  // The dispatching entry point (driver + exact fallback) still returns
-  // the exact answer — and so does the explicit fallback a caller with
-  // custom options would write.
-  Rref exact = ReduceToRrefExact(m);
-  std::optional<Rref> fast = TryModularRref(m, bad);
-  Rref served = fast.has_value() ? std::move(*fast) : ReduceToRrefExact(m);
-  ExpectRrefEqual(served, exact);
-  ExpectRrefEqual(ReduceToRref(m), exact);
+  // The first table prime is the bad one too, so the default rank probe
+  // is inconclusive and Rank serves the exact rank through its fallback.
+  EXPECT_EQ(Rank(m), exact_rank);
+  if (m.rows() == m.cols()) {
+    EXPECT_EQ(IsNonsingular(m), exact_rank == m.rows());
+  }
 }
 
 TEST(ModularFallbackTest, SkipsPrimesDividingDenominators) {
   // Entries with denominator equal to the first prime: that prime cannot
-  // reduce the matrix (FromRationalMat declines) and the driver must move
-  // on to the next prime and still produce the exact RREF.
+  // reduce the matrix (FromRationalMat declines), so the probes move on to
+  // the next prime.
   Mat m(3, 3);
   const BigInt p(static_cast<std::int64_t>(kFirstPrime));
   for (std::size_t r = 0; r < 3; ++r) {
@@ -272,18 +138,30 @@ TEST(ModularFallbackTest, SkipsPrimesDividingDenominators) {
   }
   Zp zp(kFirstPrime);
   EXPECT_FALSE(ModMat::FromRationalMat(&zp, m).has_value());
-  std::optional<Rref> fast = TryModularRref(m);
-  ASSERT_TRUE(fast.has_value());
-  ExpectRrefEqual(*fast, ReduceToRrefExact(m));
+  const std::size_t exact_rank = ReduceToRref(m).rank;
+  EXPECT_EQ(ModularRankLowerBound(m), std::optional<std::size_t>(exact_rank));
+  EXPECT_EQ(ModularNonsingularProbe(m).has_value(), exact_rank == 3);
+  EXPECT_EQ(Rank(m), exact_rank);
+
+  // An injected list holding only the bad prime leaves nothing usable.
+  const std::vector<std::uint64_t> bad = {kFirstPrime};
+  EXPECT_FALSE(ModularRankLowerBound(m, bad).has_value());
+  EXPECT_FALSE(ModularNonsingularProbe(m, bad).has_value());
 }
 
-TEST(ModularPrimesTest, ExtendsOnDemandWithRealPrimes) {
-  const std::vector<std::uint64_t>& primes = ModularPrimes(64);
-  ASSERT_GE(primes.size(), 64u);
+TEST(ModularPrimesTest, FixedTableOfDescending62BitPrimes) {
+  const std::vector<std::uint64_t>& primes = ModularPrimes();
+  ASSERT_EQ(primes.size(), 40u);
   EXPECT_EQ(primes[0], kFirstPrime);
-  for (std::size_t i = 1; i < 64; ++i) {
-    EXPECT_LT(primes[i], primes[i - 1]);
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    EXPECT_LT(primes[i], 1ull << 62);
     EXPECT_GT(primes[i], 1ull << 61);
+    if (i > 0) EXPECT_LT(primes[i], primes[i - 1]);
+    // Fermat witnesses: a^(p-1) = 1 mod p for a prime p.
+    Zp zp(primes[i]);
+    for (std::uint64_t a : {2ull, 3ull, 5ull, 7ull}) {
+      EXPECT_EQ(zp.From(zp.Pow(zp.To(a), primes[i] - 1)), 1u) << primes[i];
+    }
   }
 }
 
@@ -335,8 +213,7 @@ TEST(MatStorageTest, SwapRowsAndReserve) {
 }
 
 TEST(ModularConsumersTest, SolveNullspaceSpanAndWitnessStayExact) {
-  // End-to-end through the dispatching consumers on a huge-entry system
-  // where the modular path is certain to engage.
+  // End to end through the RREF consumers on a huge-entry system.
   Rng rng(11);
   Mat a(4, 4);
   for (std::size_t r = 0; r < 4; ++r) {

@@ -1,11 +1,9 @@
 // Shared deterministic random-matrix generators for the linear-algebra
-// differential suites and benchmarks. Before this header the same
-// RandomBig / big-entry / huge-low-rank generators were copy-pasted
-// across tests/modular_linalg_test.cpp, tests/concurrency_test.cpp and
-// bench/bench_linalg.cpp, and drifted (one bench copy drew low-rank
-// combination coefficients per *entry*, which silently destroys the
-// linear dependence the benchmark claims to measure). Header-only, no
-// gtest dependency, so bench/ can include it too.
+// property suites and benchmarks. One copy, so the suites and the benches
+// cannot drift apart (an earlier bench copy drew low-rank combination
+// coefficients per *entry*, which silently destroys the linear dependence
+// the benchmark claims to measure). Header-only, no gtest dependency, so
+// bench/ can include it too.
 
 #ifndef BAGDET_TESTS_TEST_MATRICES_H_
 #define BAGDET_TESTS_TEST_MATRICES_H_
@@ -19,6 +17,7 @@
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
+#include "linalg/modular_solve.h"
 #include "util/bigint.h"
 #include "util/rational.h"
 #include "util/rng.h"
@@ -88,9 +87,7 @@ inline Mat RandomBigMatrix(Rng* rng, std::size_t rows, std::size_t cols,
 /// `rank` rows are random, every later row is a small positive integer
 /// combination of them with ONE coefficient per basis row (a per-entry
 /// draw would destroy the linear dependence and collapse the RREF to the
-/// identity). This is the regime where the multi-modular driver must
-/// reconstruct genuinely large rationals and the verification certificate
-/// dominates.
+/// identity). The RREF of such a matrix holds genuinely large rationals.
 inline Mat RandomBigLowRankMatrix(Rng* rng, std::size_t n, std::size_t rank,
                                   int limbs) {
   Mat m(n, n);
@@ -118,7 +115,7 @@ inline Mat RandomBigLowRankMatrix(Rng* rng, std::size_t n, std::size_t rank,
 /// Hilbert-like ill-conditioned matrix: At(i, j) = 1 / (i + j + 1 +
 /// offset). Nonsingular for every n (Cauchy structure) with inverse
 /// entries that blow up combinatorially — the classic stress case for
-/// rational reconstruction bounds.
+/// exact elimination.
 inline Mat HilbertLikeMatrix(std::size_t n, std::size_t offset = 0) {
   Mat m(n, n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -150,7 +147,7 @@ inline Mat RandomSparseMatrix(Rng* rng, std::size_t rows, std::size_t cols,
 }
 
 /// Reference inverse: rational Gauss–Jordan elimination on [A | I] over
-/// the exact RREF — the body Inverse had before it became fraction-free,
+/// ReduceToRref — the body Inverse had before it became fraction-free,
 /// kept as the differential oracle. std::nullopt when singular.
 inline std::optional<Mat> GaussJordanInverse(const Mat& m) {
   if (m.rows() != m.cols()) return std::nullopt;
@@ -161,7 +158,7 @@ inline std::optional<Mat> GaussJordanInverse(const Mat& m) {
     for (std::size_t c = 0; c < n; ++c) aug.At(r, c) = m.At(r, c);
     aug.At(r, n + r) = Rational(1);
   }
-  Rref rref = ReduceToRrefExact(std::move(aug));
+  Rref rref = ReduceToRref(std::move(aug));
   if (rref.rank < n || rref.pivots[n - 1] >= n) return std::nullopt;
   Mat inverse(n, n);
   for (std::size_t r = 0; r < n; ++r) {
@@ -170,6 +167,102 @@ inline std::optional<Mat> GaussJordanInverse(const Mat& m) {
     }
   }
   return inverse;
+}
+
+/// The seven entry/shape regimes the RREF property suites sweep (60
+/// matrices each: 420 in all). Every regime includes rank-deficient
+/// shapes (wide/tall dims) by construction.
+enum class Regime {
+  kSmallInt,        // Dense entries in [-9, 9].
+  kSmallRational,   // Entries a/b with small a, b.
+  kHugeInt,         // 128–256 bit hom-count-sized integer entries.
+  kLowRank,         // Product of thin factors: provably singular.
+  kHugeLowRank,     // Rank-deficient AND huge: the RREF holds genuinely
+                    // large rationals (not just an identity).
+  kDuplicatedRows,  // Underdetermined: repeated/scaled rows.
+  kUnluckyPrime,    // Every entry divisible by ModularPrimes()[0].
+};
+
+inline constexpr Regime kAllRegimes[] = {
+    Regime::kSmallInt,    Regime::kSmallRational, Regime::kHugeInt,
+    Regime::kLowRank,     Regime::kHugeLowRank,   Regime::kDuplicatedRows,
+    Regime::kUnluckyPrime};
+
+/// A random matrix of 1..7 rows and columns from `regime`.
+inline Mat RandomRegimeMatrix(Regime regime, Rng* rng) {
+  const std::size_t rows = 1 + rng->Below(7);
+  const std::size_t cols = 1 + rng->Below(7);
+  Mat m(rows, cols);
+  switch (regime) {
+    case Regime::kSmallInt:
+      m = RandomIntMatrix(rng, rows, cols, -9, 9);
+      break;
+    case Regime::kSmallRational:
+      m = RandomRationalMatrix(rng, rows, cols, 12, 12);
+      break;
+    case Regime::kHugeInt:
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          m.At(r, c) = Rational(
+              RandomBigSigned(rng, 4 + static_cast<int>(rng->Below(5))));
+        }
+      }
+      break;
+    case Regime::kLowRank: {
+      const std::size_t inner = 1 + rng->Below(3);  // rank <= inner.
+      const Mat left = RandomIntMatrix(rng, rows, inner, -5, 5);
+      const Mat right = RandomIntMatrix(rng, inner, cols, -5, 5);
+      m = left.Multiply(right);
+      break;
+    }
+    case Regime::kHugeLowRank: {
+      const std::size_t inner = 1 + rng->Below(2);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (r < inner) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            m.At(r, c) = Rational(
+                RandomBigSigned(rng, 4 + static_cast<int>(rng->Below(4))));
+          }
+        } else {
+          for (std::size_t c = 0; c < cols; ++c) {
+            Rational sum;
+            for (std::size_t i = 0; i < inner; ++i) {
+              sum += m.At(i, c) * Rational(rng->Range(-3, 3));
+            }
+            m.At(r, c) = sum;
+          }
+        }
+      }
+      break;
+    }
+    case Regime::kDuplicatedRows:
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (r > 0 && rng->Chance(1, 2)) {
+          const std::size_t src = rng->Below(r);
+          const Rational scale(rng->Range(-3, 3));
+          for (std::size_t c = 0; c < cols; ++c) {
+            m.At(r, c) = m.At(src, c) * scale;
+          }
+        } else {
+          for (std::size_t c = 0; c < cols; ++c) {
+            m.At(r, c) = Rational(rng->Range(-6, 6));
+          }
+        }
+      }
+      break;
+    case Regime::kUnluckyPrime: {
+      // Identically zero mod the probes' first prime.
+      const Rational p(
+          BigInt(static_cast<std::int64_t>(ModularPrimes()[0])));
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+          m.At(r, c) = p * Rational(rng->Range(-4, 4));
+        }
+      }
+      break;
+    }
+  }
+  return m;
 }
 
 // --- Differential-harness knobs (the nightly CI job drives these) --------

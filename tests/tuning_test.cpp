@@ -2,7 +2,7 @@
 // defaults fallback, env-var round-trip, and the load-bearing contract —
 // every knob is dispatch-only, so an adversarial profile that forces every
 // gate on or off yields bit-identical results from the hom counter, the
-// modular linalg drivers, and the end-to-end determinacy decision.
+// linear algebra, and the end-to-end determinacy decision.
 
 #include "util/tuning.h"
 
@@ -56,7 +56,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
   // The stock profile IS the pre-profile constant table; if one of these
   // moves, pre-PR behavior is no longer the no-profile behavior.
   const TuningProfile& t = Tuning();
-  EXPECT_EQ(t.modular_num_threads, 0u);
   EXPECT_EQ(t.order_search_max_atoms, 12u);
   EXPECT_EQ(t.domain_min_work, static_cast<std::uint64_t>(1) << 12);
   EXPECT_EQ(t.hom_cache_max_entries, static_cast<std::size_t>(1) << 20);
@@ -68,7 +67,6 @@ TEST_F(TuningTest, DefaultsMatchSeedConstants) {
 
 TEST_F(TuningTest, SerializeParseRoundTrip) {
   TuningProfile p;
-  p.modular_num_threads = 3;
   p.order_search_max_atoms = 9;
   p.domain_min_work = 123456;
   p.num_threads = 16;
@@ -111,14 +109,15 @@ TEST_F(TuningTest, MalformedLinesAreTypedSyntaxErrors) {
 }
 
 TEST_F(TuningTest, UnknownKeyIsTyped) {
-  // Retired keys: profiles written while the multi-modular inverse or the
-  // parallel single-count hom split existed still carry them, and must be
-  // rejected by name rather than half-applied — both when parsed directly
-  // and when loaded through the environment variable, which falls back to
-  // the built-in defaults.
+  // Retired keys: profiles written while the multi-modular inverse, the
+  // parallel single-count hom split or the multi-modular RREF driver
+  // existed still carry them, and must be rejected by name rather than
+  // half-applied — both when parsed directly and when loaded through the
+  // environment variable, which falls back to the built-in defaults.
   for (const char* key :
        {"dixon_min_dim", "parallel_split_min_work",
-        "parallel_split_chunks_per_lane", "hom_num_threads"}) {
+        "parallel_split_chunks_per_lane", "hom_num_threads",
+        "modular_num_threads"}) {
     const std::string text =
         "order_search_max_atoms = 8\n" + std::string(key) + " = 1\n";
     TuningError error{};
@@ -173,20 +172,19 @@ TEST_F(TuningTest, MissingFileIsIoErrorAndInvalidSetIsRejected) {
 
 TEST_F(TuningTest, EnvVarRoundTrip) {
   TuningProfile p;
-  p.modular_num_threads = 3;
   p.order_search_max_atoms = 8;
   p.hom_cache_max_bytes = 1u << 20;
   const std::string path = WriteTempProfile(SerializeTuningProfile(p), "env");
   ASSERT_EQ(::setenv("BAGDET_TUNING_PROFILE", path.c_str(), 1), 0);
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().modular_num_threads, 3u);
   EXPECT_EQ(Tuning().order_search_max_atoms, 8u);
   EXPECT_EQ(Tuning().hom_cache_max_bytes, 1u << 20);
 
   // Unset → defaults restored.
   ::unsetenv("BAGDET_TUNING_PROFILE");
   EXPECT_FALSE(ReloadTuningFromEnv().has_value());
-  EXPECT_EQ(Tuning().modular_num_threads, 0u);
+  EXPECT_EQ(Tuning().order_search_max_atoms, 12u);
+  EXPECT_EQ(Tuning().hom_cache_max_bytes, 256ull << 20);
 }
 
 TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
@@ -212,7 +210,7 @@ TEST_F(TuningTest, BadEnvProfileFallsBackToDefaultsWithTypedError) {
 // Two adversarial profiles bracketing the stock one: kAllFast forces every
 // gated fast path on (domains + order search always, starved cache),
 // kAllSlow forces every gate off (no order search, domain layer never
-// engaged, serial modular fold).
+// engaged).
 // Results must be bit-identical across all three.
 
 TuningProfile AllFastProfile() {
@@ -228,7 +226,6 @@ TuningProfile AllSlowProfile() {
   TuningProfile p;
   p.order_search_max_atoms = 0;   // Greedy order only.
   p.domain_min_work = 1ull << 40; // Domain layer never engages.
-  p.modular_num_threads = 1;      // Serial fold.
   return p;
 }
 
@@ -260,7 +257,7 @@ TEST_F(TuningTest, ExtremeProfilesKeepLinalgBitIdentical) {
   // References under the stock profile (SetUp restored it).
   const std::optional<Mat> inv_small_ref = Inverse(small);
   const std::optional<Mat> inv_big_ref = Inverse(big);
-  const Rref rref_ref = ReduceToRrefExact(big);
+  const Rref rref_ref = ReduceToRref(big);
   for (const TuningProfile& p :
        {TuningProfile{}, AllFastProfile(), AllSlowProfile()}) {
     ASSERT_FALSE(SetTuningProfile(p).has_value());

@@ -3,9 +3,11 @@
 // Every gate in the library's TuningProfile (util/tuning.h) defaults to a
 // crossover measured on the 1-core reference host. This tool re-measures
 // each crossover on the machine it runs on — the hom-core order-search and
-// domain-engage thresholds and the thread-pool width — using the same
-// seeded generators the differential suites trust (tests/test_matrices.h,
-// structs/generator.h), then writes
+// domain-engage thresholds — using the same seeded generators the
+// differential suites trust (structs/generator.h). The thread-pool width
+// (`num_threads`) is not swept: it is a hand-set deployment key, and the
+// BAGDET_NUM_THREADS environment variable still overrides it. It then
+// writes
 //
 //   * a tuning profile (`key = value`, loadable via BAGDET_TUNING_PROFILE)
 //     re-pointing the library's dispatch defaults at the measured machine,
@@ -39,19 +41,15 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hom/hom.h"
-#include "linalg/matrix.h"
-#include "linalg/modular_solve.h"
 #include "structs/generator.h"
 #include "structs/schema.h"
 #include "structs/structure.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/tuning.h"
-
-#include "tests/test_matrices.h"
 
 #ifdef __unix__
 #include <sys/utsname.h>
@@ -221,53 +219,6 @@ Sweep SweepDomainMinWork(Mode mode, const HomWorkload& w,
   return sweep;
 }
 
-/// Thread-pool width: wall time of the pool-heavy many-prime modular RREF
-/// fold at every power-of-2 width up to the hardware, plus the hardware
-/// width itself.
-Sweep SweepThreadWidth(Mode mode, unsigned hw_cpus, std::size_t* num_threads) {
-  const int reps = mode == Mode::kDryRun ? 1 : 2;
-  std::vector<std::size_t> widths;
-  for (std::size_t w = 1; w < hw_cpus; w *= 2) widths.push_back(w);
-  widths.push_back(hw_cpus);
-
-  Rng rng(404);
-  const std::size_t n = mode == Mode::kDryRun ? 10 : 16;
-  const Mat rank_deficient = testmat::RandomBigLowRankMatrix(&rng, n, 4, 8);
-
-  Sweep sweep;
-  sweep.name = "thread_width";
-  sweep.columns = "width, modular_rref_ms";
-  double best_ms = std::numeric_limits<double>::infinity();
-  std::size_t best_width = 1;
-  for (std::size_t width : widths) {
-    SetGlobalThreadPoolSize(width);
-    Point p;
-    p.label = std::to_string(width);
-    p.ms_a = TimeMs(
-        [&] {
-          ModularOptions options;
-          options.num_threads = width;
-          TryModularRref(rank_deficient, options);
-        },
-        reps);
-    if (p.ms_a < best_ms) {
-      best_ms = p.ms_a;
-      best_width = width;
-    }
-    sweep.points.push_back(std::move(p));
-  }
-  // Restore the default pool before anything else runs.
-  SetGlobalThreadPoolSize(0);
-  // Full hardware width is spelled "auto" so a profile moved between
-  // machines of the same family keeps scaling.
-  *num_threads = best_width == hw_cpus ? 0 : best_width;
-  std::ostringstream decision;
-  decision << "num_threads=" << *num_threads << " (best width " << best_width
-           << " of " << hw_cpus << " hw)";
-  sweep.decision = decision.str();
-  return sweep;
-}
-
 // --- Output ----------------------------------------------------------------
 
 bool WriteFile(const std::string& path, const std::string& content) {
@@ -376,8 +327,6 @@ int Run(int argc, char** argv) {
       SweepOrderSearch(mode, workload, &chosen.order_search_max_atoms));
   std::cerr << "  " << sweeps.back().decision << "\n";
   sweeps.push_back(SweepDomainMinWork(mode, workload, &chosen.domain_min_work));
-  std::cerr << "  " << sweeps.back().decision << "\n";
-  sweeps.push_back(SweepThreadWidth(mode, fp.cpus, &chosen.num_threads));
   std::cerr << "  " << sweeps.back().decision << "\n";
 
   if (std::optional<TuningError> error = ValidateTuningProfile(chosen)) {
