@@ -3,12 +3,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 
 #include "core/basis.h"
 #include "core/counterexample.h"
 #include "hom/hom.h"
 #include "hom/symbolic.h"
 #include "linalg/gauss.h"
+#include "structs/canonical.h"
 
 namespace bagdet {
 
@@ -92,11 +94,33 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
     analysis.hom_cache = std::make_shared<HomCache>(analysis.pool);
   }
 
-  // Definition 25: V = { v : q ⊆set v }, i.e. hom(v, q) ≠ ∅.
+  // Definition 25: V = { v : q ⊆set v }, i.e. hom(v, q) ≠ ∅. By Lemma 4(5)
+  // that holds iff every component of v maps into q, so relevance is decided
+  // per component class: q's own classes map by inclusion, and each foreign
+  // class costs one ExistsHom, memoized by canonical key rather than by pool
+  // ref so that an irrelevant view interns nothing.
+  const Structure& body = analysis.query.FrozenBody();
+  std::unordered_map<CanonicalKey, bool, CanonicalKeyHash> maps_into_q;
+  for (const std::string& cert : body.CanonicalData().component_certificates) {
+    maps_into_q.emplace(ComponentKeyFromCertificate(schema, cert), true);
+  }
   for (std::size_t i = 0; i < analysis.views.size(); ++i) {
-    if (IsContainedSetSemantics(analysis.query, analysis.views[i])) {
-      analysis.relevant_views.push_back(i);
+    const Structure& frozen = analysis.views[i].FrozenBody();
+    const std::vector<std::string>& certs =
+        frozen.CanonicalData().component_certificates;
+    std::vector<Structure> components;  // Index-aligned with `certs`.
+    bool relevant = true;
+    for (std::size_t c = 0; relevant && c < certs.size(); ++c) {
+      auto [it, unseen] = maps_into_q.try_emplace(
+          ComponentKeyFromCertificate(schema, certs[c]), false);
+      if (unseen) {
+        if (components.empty()) components = ConnectedComponents(frozen);
+        it->second = ExistsHom(components[c], body);
+        ++analysis.relevance_searches;
+      }
+      relevant = it->second;
     }
+    if (relevant) analysis.relevant_views.push_back(i);
   }
 
   // Definition 27: W = components of Σ_{v ∈ V ∪ {q}} v up to isomorphism.

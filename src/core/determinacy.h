@@ -40,7 +40,15 @@ struct InstanceAnalysis {
   ConjunctiveQuery query;               ///< q.
 
   /// Indices into `views` of V = { v ∈ V0 : q ⊆set v } (Definition 25).
+  /// hom(v, q) ≠ ∅ iff every component of v maps into q (Lemma 4(5)), so
+  /// the test runs once per component class: q's own classes map by
+  /// inclusion, and each foreign class gets one memoized ExistsHom.
   std::vector<std::size_t> relevant_views;
+
+  /// ExistsHom calls the relevance test made: at most one per distinct
+  /// component class of V0 that is not a class of q (a view's test stops at
+  /// its first class that does not map).
+  std::size_t relevance_searches = 0;
 
   /// W — the basis queries (Definition 27): pairwise non-isomorphic
   /// connected components of the frozen bodies of V ∪ {q}.

@@ -10,6 +10,7 @@
 #include "linalg/gauss.h"
 #include "query/parser.h"
 #include "structs/generator.h"
+#include "test_instances.h"
 #include "util/rng.h"
 
 namespace bagdet {
@@ -66,6 +67,43 @@ TEST(AnalyzeInstanceTest, IrrelevantViewsExcluded) {
   EXPECT_EQ(analysis.relevant_views[0], 0u);
   // W contains only components of V ∪ {q}, not of the irrelevant v2.
   EXPECT_EQ(analysis.basis_queries.size(), 1u);
+}
+
+TEST(AnalyzeInstanceTest, RelevanceSearchesCountDistinctForeignClasses) {
+  // One ExistsHom per distinct foreign class, however many views repeat it;
+  // q's own classes map by inclusion and cost no search.
+  for (std::size_t markers : {1, 2, 3}) {
+    testinst::ViewsShapedInstance inst =
+        testinst::MakeViewsShaped(/*num_views=*/48, markers, /*seed=*/5);
+    ASSERT_EQ(inst.marker_classes, markers);
+    InstanceAnalysis analysis = AnalyzeInstance(inst.views, inst.query);
+    EXPECT_EQ(analysis.relevant_views, inst.relevant);
+    EXPECT_EQ(analysis.relevance_searches, markers);
+  }
+  testinst::ViewsShapedInstance inst =
+      testinst::MakeViewsShaped(/*num_views=*/48, /*num_markers=*/2, 5);
+  std::vector<ConjunctiveQuery> relevant_only;
+  for (std::size_t i : inst.relevant) relevant_only.push_back(inst.views[i]);
+  EXPECT_EQ(AnalyzeInstance(relevant_only, inst.query).relevance_searches, 0u);
+}
+
+TEST(AnalyzeInstanceTest, IrrelevantViewsInternNothingIntoASharedPool) {
+  // Relevance memoizes by canonical key, not by pool ref: a long-lived
+  // serving pool must not grow by the classes of views it then drops.
+  testinst::ViewsShapedInstance inst =
+      testinst::MakeViewsShaped(/*num_views=*/32, /*num_markers=*/3, 7);
+  std::vector<ConjunctiveQuery> relevant_only;
+  for (std::size_t i : inst.relevant) relevant_only.push_back(inst.views[i]);
+  auto with_irrelevant = std::make_shared<HomCache>();
+  auto without_irrelevant = std::make_shared<HomCache>();
+  InstanceAnalysis a = AnalyzeInstance(inst.views, inst.query, with_irrelevant);
+  InstanceAnalysis b =
+      AnalyzeInstance(relevant_only, inst.query, without_irrelevant);
+  EXPECT_EQ(a.relevant_views, inst.relevant);
+  EXPECT_EQ(a.relevance_searches, 3u);
+  EXPECT_EQ(b.relevant_views.size(), inst.relevant.size());
+  EXPECT_EQ(a.basis_queries.size(), b.basis_queries.size());
+  EXPECT_EQ(with_irrelevant->pool().size(), without_irrelevant->pool().size());
 }
 
 TEST(DecideTest, Example2NotBagDetermined) {

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/determinacy.h"
+#include "hom/hom.h"
 #include "linalg/gauss.h"
 #include "query/cq.h"
+#include "structs/canonical.h"
 #include "structs/generator.h"
 #include "test_matrices.h"
 #include "util/rng.h"
@@ -216,6 +221,164 @@ TEST(DeterminacyStressTest, MixedRelevanceInstance) {
     Structure d = RandomStructure(schema, 1 + rng.Below(3), &rng);
     EXPECT_TRUE(CheckWitnessOnStructure(result.analysis, *result.witness, d));
   }
+}
+
+// --- Relevance per component class vs the per-view oracle ------------------
+//
+// AnalyzeInstance decides Definition 25 once per component class (Lemma
+// 4(5)): q's classes map by inclusion and each foreign class gets one
+// memoized ExistsHom. The per-view IsContainedSetSemantics filter is the
+// oracle it must match.
+
+Structure DirectedCycle(const std::shared_ptr<Schema>& schema, RelationId e,
+                        Element n) {
+  Structure s(schema);
+  for (Element i = 0; i < n; ++i) s.AddFact(e, {i, (i + 1) % n});
+  return s;
+}
+
+Structure DirectedPath(const std::shared_ptr<Schema>& schema, RelationId e,
+                       Element edges) {
+  Structure s(schema);
+  for (Element i = 0; i < edges; ++i) s.AddFact(e, {i, i + 1});
+  return s;
+}
+
+/// A random connected digraph over `e` on n elements: a random spanning tree
+/// with random edge directions, plus every other pair (loops included) with
+/// probability 1/3.
+Structure RandomDigraphComponent(const std::shared_ptr<Schema>& schema,
+                                 RelationId e, Element n, Rng* rng) {
+  Structure s(schema);
+  for (Element i = 1; i < n; ++i) {
+    const Element parent = static_cast<Element>(rng->Below(i));
+    if (rng->Chance(1, 2)) {
+      s.AddFact(e, {parent, i});
+    } else {
+      s.AddFact(e, {i, parent});
+    }
+  }
+  for (Element a = 0; a < n; ++a) {
+    for (Element b = 0; b < n; ++b) {
+      if (rng->Chance(1, 3)) s.AddFact(e, {a, b});
+    }
+  }
+  if (n == 1 && s.NumFacts() == 0) s.AddFact(e, {0, 0});
+  return s;
+}
+
+TEST(RelevancePropertyTest, PerClassFilterMatchesPerViewContainment) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId e = schema->AddRelation("E", 2);
+  const RelationId f = schema->AddRelation("F", 2);
+  Structure f_edge(schema);  // Never maps: q has no F facts.
+  f_edge.AddFact(f, {0, 1});
+  // One shared cache across every instance, as a serving pool would be.
+  auto shared = std::make_shared<HomCache>();
+
+  std::size_t foreign_classes_that_map = 0;
+  std::size_t foreign_classes_that_fail = 0;
+  std::size_t relevant_with_foreign = 0;
+  std::size_t irrelevant_with_q_classes = 0;
+  for (std::uint64_t seed : {31, 32, 33, 34}) {
+    Rng rng(seed);
+    for (int iter = 0; iter < 6; ++iter) {
+      // q = C3 plus one or two random components on 1–3 elements. C6 and
+      // directed paths map into C3 without being isomorphic to a class of q.
+      std::vector<Structure> q_classes = {DirectedCycle(schema, e, 3)};
+      const std::size_t extra = 1 + rng.Below(2);
+      for (std::size_t c = 0; c < extra; ++c) {
+        q_classes.push_back(RandomDigraphComponent(
+            schema, e, static_cast<Element>(1 + rng.Below(3)), &rng));
+      }
+      std::vector<Structure> foreign = {
+          DirectedCycle(schema, e, 6),
+          DirectedPath(schema, e, static_cast<Element>(1 + rng.Below(4))),
+          f_edge,
+          RandomDigraphComponent(schema, e,
+                                 static_cast<Element>(1 + rng.Below(4)), &rng),
+      };
+      Structure q_body(schema);
+      for (const Structure& c : q_classes) q_body = DisjointUnion(q_body, c);
+      const ConjunctiveQuery q = BooleanQueryFromStructure("q", q_body);
+
+      // One foreign class repeats across about half of the views; some
+      // views add the failing F-edge to q's classes, others a random
+      // foreign class.
+      const Structure& repeated = foreign[rng.Below(foreign.size())];
+      std::vector<ConjunctiveQuery> views;
+      const std::size_t num_views = 8 + rng.Below(8);
+      for (std::size_t v = 0; v < num_views; ++v) {
+        Structure body(schema);
+        for (const Structure& c : q_classes) {
+          for (std::uint64_t k = rng.Below(3); k > 0; --k) {
+            body = DisjointUnion(body, c);
+          }
+        }
+        if (rng.Chance(1, 2)) body = DisjointUnion(body, repeated);
+        switch (rng.Below(3)) {
+          case 0:
+            body = DisjointUnion(body, f_edge);
+            break;
+          case 1:
+            body = DisjointUnion(body, foreign[rng.Below(foreign.size())]);
+            break;
+          default:
+            break;
+        }
+        if (body.NumFacts() == 0) body = q_classes[0];
+        views.push_back(
+            BooleanQueryFromStructure("v" + std::to_string(v), body));
+      }
+
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        if (IsContainedSetSemantics(q, views[i])) expected.push_back(i);
+      }
+      const InstanceAnalysis private_cache = AnalyzeInstance(views, q);
+      const InstanceAnalysis shared_cache = AnalyzeInstance(views, q, shared);
+      EXPECT_EQ(private_cache.relevant_views, expected)
+          << "seed " << seed << " iter " << iter << " q=" << q.ToString();
+      EXPECT_EQ(shared_cache.relevant_views, expected)
+          << "seed " << seed << " iter " << iter << " q=" << q.ToString();
+      EXPECT_EQ(private_cache.relevance_searches,
+                shared_cache.relevance_searches);
+
+      // Coverage of the generator, classified independently of the filter.
+      std::set<CanonicalKey> q_keys;
+      for (const Structure& c : ConnectedComponents(q.FrozenBody())) {
+        q_keys.insert(CanonicalKeyOf(c));
+      }
+      std::set<CanonicalKey> foreign_keys;
+      for (std::size_t i = 0; i < views.size(); ++i) {
+        bool has_foreign = false;
+        bool has_q_class = false;
+        for (const Structure& c : ConnectedComponents(views[i].FrozenBody())) {
+          const CanonicalKey key = CanonicalKeyOf(c);
+          if (q_keys.count(key) != 0) {
+            has_q_class = true;
+            continue;
+          }
+          has_foreign = true;
+          if (!foreign_keys.insert(key).second) continue;
+          if (ExistsHom(c, q.FrozenBody())) {
+            ++foreign_classes_that_map;
+          } else {
+            ++foreign_classes_that_fail;
+          }
+        }
+        const bool relevant =
+            std::find(expected.begin(), expected.end(), i) != expected.end();
+        if (relevant && has_foreign) ++relevant_with_foreign;
+        if (!relevant && has_q_class) ++irrelevant_with_q_classes;
+      }
+      EXPECT_LE(private_cache.relevance_searches, foreign_keys.size());
+    }
+  }
+  EXPECT_GT(foreign_classes_that_map, 0u);
+  EXPECT_GT(foreign_classes_that_fail, 0u);
+  EXPECT_GT(relevant_with_foreign, 0u);
+  EXPECT_GT(irrelevant_with_q_classes, 0u);
 }
 
 // --- Certificates vs the rational Lemma-57 walk -----------------------------

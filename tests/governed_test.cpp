@@ -36,6 +36,7 @@
 #include "linalg/modular_solve.h"
 #include "query/cq.h"
 #include "structs/structure.h"
+#include "test_instances.h"
 #include "util/bigint.h"
 #include "util/exec_context.h"
 #include "util/failpoint.h"
@@ -389,6 +390,59 @@ TEST_F(GovernedTest, CertificatePathNeverReturnsOkPastItsDeadline) {
       ASSERT_TRUE(governed.result.has_value());
       ExpectSameDecision(*governed.result, baseline);
     }
+  }
+}
+
+TEST_F(GovernedTest, RelevanceNeverReturnsOkPastItsDeadline) {
+  // Relevance runs one ExistsHom per foreign class, so an adversarial class
+  // repeated across 16 views is one search, and that search must still
+  // observe the deadline. The decide_views-shaped instance finishes well
+  // inside every deadline; if it ever trips, the trip must be typed.
+  constexpr double kOkSlackMs = 20.0;
+  const AdversarialInstance adversarial = MakeAdversarial(35);
+  std::vector<ConjunctiveQuery> repeated;
+  for (int v = 0; v < 16; ++v) {
+    repeated.push_back(BooleanQueryFromStructure(
+        "v" + std::to_string(v),
+        DisjointUnion(adversarial.query.FrozenBody(),
+                      adversarial.views[0].FrozenBody())));
+  }
+  const testinst::ViewsShapedInstance views_shaped =
+      testinst::MakeViewsShaped(/*num_views=*/48, /*num_markers=*/2, 11);
+  DeterminacyOptions verdict_only;
+  verdict_only.want_counterexample = false;
+  const DeterminacyResult baseline = DecideBagDeterminacy(
+      views_shaped.views, views_shaped.query, verdict_only);
+  for (const std::uint64_t deadline_ms : {1, 2, 5, 10, 20}) {
+    SCOPED_TRACE("deadline_ms=" + std::to_string(deadline_ms));
+    {
+      ExecContext exec{ExecLimits{deadline_ms, /*max_memory_bytes=*/0}};
+      GovernedDecision governed = DecideBagDeterminacyGoverned(
+          repeated, adversarial.query, verdict_only, exec);
+      ASSERT_EQ(governed.status.code, ExecCode::kDeadlineExceeded)
+          << governed.status.ToString();
+      EXPECT_FALSE(governed.status.kernel.empty());
+      EXPECT_FALSE(governed.result.has_value());
+      EXPECT_LT(governed.status.elapsed_ms, 500.0);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    ExecContext exec{ExecLimits{deadline_ms, /*max_memory_bytes=*/0}};
+    GovernedDecision governed = DecideBagDeterminacyGoverned(
+        views_shaped.views, views_shaped.query, verdict_only, exec);
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count();
+    if (governed.status.code == ExecCode::kDeadlineExceeded) {
+      EXPECT_FALSE(governed.status.kernel.empty());
+      EXPECT_FALSE(governed.result.has_value());
+      continue;
+    }
+    ASSERT_EQ(governed.status.code, ExecCode::kOk)
+        << governed.status.ToString();
+    EXPECT_LE(elapsed_ms, static_cast<double>(deadline_ms) + kOkSlackMs);
+    ASSERT_TRUE(governed.result.has_value());
+    EXPECT_EQ(governed.result->determined, baseline.determined);
+    EXPECT_EQ(governed.result->analysis.relevant_views, views_shaped.relevant);
   }
 }
 
