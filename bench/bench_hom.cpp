@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "hom/hom.h"
+#include "query/cq.h"
 #include "structs/generator.h"
 #include "util/rng.h"
 
@@ -89,88 +90,50 @@ void BM_InjectiveHoms(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectiveHoms)->Args({3, 6})->Args({4, 7})->Args({5, 8});
 
-// --- Domain core (PR-7) ablations -------------------------------------------
-//
-// The `domain_core` section of BENCH_hom.json comes from these: the PR-1
-// baseline is the engine with domains and order search both off, measured
-// against the default engine.
+// --- Data-side evaluation ----------------------------------------------------
 
-DpOptions Pr1Options() {
-  DpOptions options;
-  options.use_domains = false;
-  options.order_search_max_atoms = 0;
-  return options;
-}
-
-/// Dense near-regular digraph: every bucket is big and uniform, so
-/// single-bucket selection alone barely narrows — the regime the domain
-/// layer targets. state.range(0) toggles the PR-1 baseline (0) against the
-/// domain core (1).
-void BM_DenseDigraphDomainCore(benchmark::State& state) {
+/// Non-boolean CQs evaluated into a random digraph: the answer-bag
+/// workload (ConjunctiveQuery::Evaluate) that drives the Matcher. Where
+/// |D| × density is about 19 or more (every row but 32/30), most in- and
+/// out-buckets exceed 16 ids, so atoms closing a triangle go through the
+/// bucket intersection.
+/// state.range(0) = |D|, state.range(1) = edge density in percent.
+void BM_EvaluateIntoDenseDigraph(benchmark::State& state) {
   auto schema = GraphSchema();
-  Rng rng(0xbe7c);
-  Structure from = RandomConnectedStructure(schema, 5, &rng, 3, 4);
-  Structure to = RandomStructure(schema, 24, &rng, 3, 4);
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DpOptions();
+  Rng rng(0xe7a1);
+  Structure data = RandomStructure(
+      schema, static_cast<std::size_t>(state.range(0)), &rng,
+      static_cast<std::uint64_t>(state.range(1)), 100);
+  const std::vector<ConjunctiveQuery> queries = {
+      // q1(x,y) :- E(x,z), E(z,y)
+      ConjunctiveQuery("q1", schema, {"x", "y", "z"}, 2,
+                       {{0, {0, 2}}, {0, {2, 1}}}),
+      // q2(x,y) :- E(x,y), E(y,z), E(x,z)
+      ConjunctiveQuery("q2", schema, {"x", "y", "z"}, 2,
+                       {{0, {0, 1}}, {0, {1, 2}}, {0, {0, 2}}}),
+      // q3(x) :- E(x,y), E(y,z), E(z,x)
+      ConjunctiveQuery("q3", schema, {"x", "y", "z"}, 1,
+                       {{0, {0, 1}}, {0, {1, 2}}, {0, {2, 0}}}),
+      // q4(x,y,z) :- E(x,y), E(y,z), E(z,x), E(x,z)
+      ConjunctiveQuery("q4", schema, {"x", "y", "z"}, 3,
+                       {{0, {0, 1}}, {0, {1, 2}}, {0, {2, 0}}, {0, {0, 2}}}),
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(from, to, options));
+    for (const ConjunctiveQuery& q : queries) {
+      benchmark::DoNotOptimize(q.Evaluate(data));
+    }
   }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
+  state.SetLabel("domain=" + std::to_string(state.range(0)) +
+                 " density=" + std::to_string(state.range(1)) + "%");
 }
-BENCHMARK(BM_DenseDigraphDomainCore)->Arg(0)->Arg(1);
-
-/// High-arity overlap instance: T-facts live on the low elements of the
-/// target and Q-facts on the high ones, so a variable shared between a
-/// T-atom and a Q-atom only has support on the 4-element overlap. The
-/// arc-consistency fixpoint shrinks every domain to that overlap before
-/// the DP runs, so most candidate T-facts are rejected before table
-/// insertion; the PR-1 engine inserts them all and discovers the dead
-/// entries only at the final Q-join.
-void BM_HighArityDomainCore(benchmark::State& state) {
-  auto schema = std::make_shared<Schema>();
-  schema->AddRelation("T", 3);
-  schema->AddRelation("Q", 4);
-  Rng rng(0xa417);
-  Structure to(schema, 20);
-  for (int i = 0; i < 800; ++i) {
-    to.AddFact(0, {static_cast<Element>(rng.Below(14)),
-                   static_cast<Element>(rng.Below(14)),
-                   static_cast<Element>(rng.Below(14))});
-  }
-  for (int i = 0; i < 300; ++i) {
-    to.AddFact(1, {static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10)),
-                   static_cast<Element>(10 + rng.Below(10))});
-  }
-  Structure from(schema, 5);
-  from.AddFact(0, {0, 1, 2});
-  from.AddFact(0, {2, 3, 4});
-  from.AddFact(1, {1, 3, 4, 0});
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DpOptions();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(from, to, options));
-  }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
-}
-BENCHMARK(BM_HighArityDomainCore)->Arg(0)->Arg(1);
-
-/// Small-structure fast path: tiny pairs where the domain layer must not
-/// cost anything measurable (the no-regression guard in BENCH_hom.json).
-void BM_SmallStructureFastPath(benchmark::State& state) {
-  auto schema = GraphSchema();
-  Structure path = PathGraph(schema, 3);
-  Structure clique = Clique(schema, 4);
-  const DpOptions options =
-      state.range(0) == 0 ? Pr1Options() : DpOptions();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(CountHoms(path, clique, options));
-  }
-  state.SetLabel(state.range(0) == 0 ? "pr1_baseline" : "domain_core");
-}
-BENCHMARK(BM_SmallStructureFastPath)->Arg(0)->Arg(1);
+BENCHMARK(BM_EvaluateIntoDenseDigraph)
+    ->Args({32, 30})
+    ->Args({64, 30})
+    ->Args({100, 30})
+    ->Args({32, 60})
+    ->Args({64, 60})
+    ->Args({100, 60})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MultiComponentDecomposition(benchmark::State& state) {
   // Lemma 4(5) decomposition: many small components multiply.

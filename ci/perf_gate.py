@@ -25,7 +25,7 @@ selftest     Prove the gate can fail: synthesize a baseline and a current
 
 Baseline format::
 
-    {"runner": "ubuntu-latest", "fingerprint": "<bagdet_tune slug>",
+    {"runner": "ubuntu-latest", "fingerprint": "<uname -m>-<nproc>c",
      "tolerance": 0.25,
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 

@@ -44,7 +44,6 @@
 #include "structs/pool.h"
 #include "structs/structure.h"
 #include "util/bigint.h"
-#include "util/tuning.h"
 
 namespace bagdet {
 
@@ -163,12 +162,10 @@ class HomCache {
 
   std::shared_ptr<StructurePool> pool_;
   std::size_t max_intern_domain_ = 256;
-  // Retention defaults from the active TuningProfile (stock profile: 2^20
-  // entries / 256 MiB, the serving-tier scale); set_max_entries/bytes and
-  // ServiceOptions overrides take precedence as before.
-  std::size_t max_entries_ = Tuning().hom_cache_max_entries;
-  std::size_t max_bytes_ =
-      static_cast<std::size_t>(Tuning().hom_cache_max_bytes);
+  // Retention budgets at the serving-tier scale; set_max_entries/bytes
+  // (DeterminacyOptions, ServiceOptions) override them.
+  std::size_t max_entries_ = std::size_t{1} << 20;
+  std::size_t max_bytes_ = std::size_t{256} << 20;
 
   // Whole-structure canonical key → component refs. Guarded by
   // components_mu_; node-based map and never erased, so returned

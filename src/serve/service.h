@@ -73,7 +73,6 @@
 #include "query/cq.h"
 #include "structs/pool.h"
 #include "util/exec_context.h"
-#include "util/tuning.h"
 
 namespace bagdet {
 
@@ -140,10 +139,8 @@ struct ServiceOptions {
   std::size_t hom_cache_max_bytes = 0;
   /// Generation rotation thresholds for the persistent pool: retire the
   /// generation once it retains more classes / projected bytes than this.
-  /// Defaults come from the active TuningProfile (util/tuning.h); assign
-  /// to override per service.
-  std::size_t pool_max_classes = Tuning().serve_pool_max_classes;
-  std::uint64_t pool_max_bytes = Tuning().serve_pool_max_bytes;
+  std::size_t pool_max_classes = std::size_t{1} << 16;
+  std::uint64_t pool_max_bytes = std::uint64_t{256} << 20;
   /// Slot-directory first-block hint for the persistent pool.
   std::size_t pool_first_block = 4096;
 };

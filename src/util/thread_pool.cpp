@@ -1,5 +1,6 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -7,7 +8,6 @@
 #include <utility>
 
 #include "util/exec_context.h"
-#include "util/tuning.h"
 
 namespace bagdet {
 
@@ -134,17 +134,15 @@ void ThreadPool::ParallelFor(std::size_t n,
 }
 
 std::size_t DefaultThreadCount() {
-  // Precedence: BAGDET_NUM_THREADS (the per-run override of last resort),
-  // then a calibrated width from the tuning profile, then the hardware.
+  // BAGDET_NUM_THREADS when it is a positive integer, capped at
+  // kMaxThreadCount so a typo'd or overflowing value cannot start
+  // millions of OS threads; else the hardware width.
   if (const char* env = std::getenv("BAGDET_NUM_THREADS")) {
     char* end = nullptr;
     const long value = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && value > 0) {
-      return static_cast<std::size_t>(value);
+      return std::min(static_cast<std::size_t>(value), kMaxThreadCount);
     }
-  }
-  if (const std::size_t tuned = Tuning().num_threads; tuned != 0) {
-    return tuned;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;

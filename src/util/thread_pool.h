@@ -76,8 +76,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Upper bound on a BAGDET_NUM_THREADS width.
+inline constexpr std::size_t kMaxThreadCount = 256;
+
 /// Parallelism the global pool is sized for: BAGDET_NUM_THREADS when set to
-/// a positive integer, else std::thread::hardware_concurrency() (minimum 1).
+/// a positive integer (capped at kMaxThreadCount), else
+/// std::thread::hardware_concurrency() (minimum 1).
 std::size_t DefaultThreadCount();
 
 /// The process-wide pool, created on first use with DefaultThreadCount()-1

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -114,6 +116,36 @@ TEST(ThreadPoolTest, MaxParallelismOneIsServedByTheCallingThread) {
 }
 
 // --- Sharded StructurePool --------------------------------------------------
+
+TEST(ThreadPoolTest, DefaultThreadCountCapsTheEnvironmentWidth) {
+  // Reads the width only; never builds the global pool, so an absurd
+  // value cannot start threads here. The caller's setting is restored.
+  const char* saved = std::getenv("BAGDET_NUM_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(::unsetenv("BAGDET_NUM_THREADS"), 0);
+  const std::size_t hardware = DefaultThreadCount();
+  EXPECT_GE(hardware, 1u);
+  const struct {
+    const char* value;
+    std::size_t expected;
+  } cases[] = {
+      {"100000", kMaxThreadCount},
+      {"99999999999999999999", kMaxThreadCount},  // strtol overflow.
+      {"0", hardware},
+      {"-3", hardware},
+      {"abc", hardware},
+      {"8", 8},
+  };
+  for (const auto& c : cases) {
+    ASSERT_EQ(::setenv("BAGDET_NUM_THREADS", c.value, 1), 0);
+    EXPECT_EQ(DefaultThreadCount(), c.expected) << c.value;
+  }
+  if (saved != nullptr) {
+    ::setenv("BAGDET_NUM_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("BAGDET_NUM_THREADS");
+  }
+}
 
 TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
   auto schema = GraphSchema();

@@ -139,7 +139,8 @@ TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
     std::size_t threads;
     std::size_t cache_entries;  // 0 = unbounded library default.
   };
-  const Config configs[] = {{1, 0}, {4, 0}, {1, 16}, {4, 16}};
+  // A one-entry cache evicts on every insert.
+  const Config configs[] = {{1, 0}, {4, 0}, {1, 16}, {4, 16}, {1, 1}, {4, 1}};
 
   for (int iter = 0; iter < 5; ++iter) {
     ConjunctiveQuery q =

@@ -28,7 +28,6 @@
 #include "core/counterexample.h"
 #include "core/determinacy.h"
 #include "core/distinguisher.h"
-#include "hom/domain.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
 #include "linalg/cone.h"
@@ -76,32 +75,6 @@ Structure FullDigraph(const std::shared_ptr<Schema>& schema, std::size_t n) {
     for (Element j = 0; j < n; ++j) s.AddFact(0, {i, j});
   }
   return s;
-}
-
-/// The configurations the DP fault tests run C5 through: the default
-/// engine into K5 with loops, and the domain layer forced on
-/// (domain_min_work = 0) into the same target plus an element 5 with no
-/// in-edge. The atom-support fixpoint prunes 5 from every domain, so the
-/// second DP consults live candidate domains.
-struct DpFaultCase {
-  const char* name;
-  DpOptions options;
-  Structure to;
-};
-
-std::vector<DpFaultCase> DpFaultCases(const std::shared_ptr<Schema>& schema,
-                                      const Structure& from) {
-  DpOptions domains_forced;
-  domains_forced.domain_min_work = 0;
-  Structure pruned = FullDigraph(schema, 5);
-  pruned.AddFact(0, {5, 0});
-  DomainSet doms;
-  EXPECT_TRUE(DomainModel(from, pruned).InitialDomains(&doms));
-  EXPECT_EQ(doms.domain(0).Count(), 5u);
-  std::vector<DpFaultCase> cases;
-  cases.push_back({"default", DpOptions(), FullDigraph(schema, 5)});
-  cases.push_back({"domains_forced", domains_forced, std::move(pruned)});
-  return cases;
 }
 
 /// Adversarial instance: deciding view relevance runs
@@ -686,23 +659,22 @@ TEST_F(GovernedTest, InjectedCancelMidDp) {
   }
   auto schema = GraphSchema();
   Structure from = SymmetricCycle(schema, 5);
-  for (const DpFaultCase& c : DpFaultCases(schema, from)) {
-    const BigInt baseline = CountHoms(from, c.to, c.options);
-    for (int iter = 0; iter < DiffIters(); ++iter) {
-      failpoint::Config cfg;
-      cfg.action = failpoint::Action::kCancel;
-      cfg.hit_on = 1;
-      failpoint::Arm("hom/dp_step", cfg);
-      ExecContext exec{ExecLimits{}};
-      ExecStatus status;
-      auto value = RunGoverned(
-          exec, &status, [&] { return CountHoms(from, c.to, c.options); });
-      EXPECT_FALSE(value.has_value()) << c.name;
-      EXPECT_EQ(status.code, ExecCode::kCancelled) << c.name;
-      failpoint::DisarmAll();
-      // Clean unwind: the disarmed rerun is bit-identical.
-      EXPECT_EQ(CountHoms(from, c.to, c.options), baseline) << c.name;
-    }
+  const Structure to = FullDigraph(schema, 5);
+  const BigInt baseline = CountHoms(from, to);
+  for (int iter = 0; iter < DiffIters(); ++iter) {
+    failpoint::Config cfg;
+    cfg.action = failpoint::Action::kCancel;
+    cfg.hit_on = 1;
+    failpoint::Arm("hom/dp_step", cfg);
+    ExecContext exec{ExecLimits{}};
+    ExecStatus status;
+    auto value =
+        RunGoverned(exec, &status, [&] { return CountHoms(from, to); });
+    EXPECT_FALSE(value.has_value());
+    EXPECT_EQ(status.code, ExecCode::kCancelled);
+    failpoint::DisarmAll();
+    // Clean unwind: the disarmed rerun is bit-identical.
+    EXPECT_EQ(CountHoms(from, to), baseline);
   }
 }
 
@@ -752,21 +724,20 @@ TEST_F(GovernedTest, InjectedAllocFailureInDpTable) {
   // C5 -> K5 keeps two live variables, so the DP table reaches 25 entries
   // and must grow past the initial 16 slots — the injection site.
   Structure from = SymmetricCycle(schema, 5);
-  for (const DpFaultCase& c : DpFaultCases(schema, from)) {
-    const BigInt baseline = CountHoms(from, c.to, c.options);
-    failpoint::Config cfg;
-    cfg.action = failpoint::Action::kBadAlloc;
-    cfg.hit_on = 1;
-    failpoint::Arm("hom/dp_table_grow", cfg);
-    ExecContext exec{ExecLimits{}};
-    ExecStatus status;
-    auto value = RunGoverned(
-        exec, &status, [&] { return CountHoms(from, c.to, c.options); });
-    EXPECT_FALSE(value.has_value()) << c.name;
-    EXPECT_EQ(status.code, ExecCode::kResourceExhausted) << c.name;
-    failpoint::DisarmAll();
-    EXPECT_EQ(CountHoms(from, c.to, c.options), baseline) << c.name;
-  }
+  const Structure to = FullDigraph(schema, 5);
+  const BigInt baseline = CountHoms(from, to);
+  failpoint::Config cfg;
+  cfg.action = failpoint::Action::kBadAlloc;
+  cfg.hit_on = 1;
+  failpoint::Arm("hom/dp_table_grow", cfg);
+  ExecContext exec{ExecLimits{}};
+  ExecStatus status;
+  auto value =
+      RunGoverned(exec, &status, [&] { return CountHoms(from, to); });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
+  failpoint::DisarmAll();
+  EXPECT_EQ(CountHoms(from, to), baseline);
 }
 
 TEST_F(GovernedTest, InjectedAllocFailureInBigInt) {

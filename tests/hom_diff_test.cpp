@@ -27,27 +27,6 @@ void ExpectAllEnginesAgree(const Structure& from, const Structure& to) {
       << "from=" << from.ToString() << " to=" << to.ToString();
 }
 
-// Domain-core sweep: the same pair through the ablation corners of the
-// engine (domains on/off, exact order search on/off) and through the
-// default engine with domains forced on, each pinned to the naive count.
-void ExpectDomainCoreAgrees(const Structure& from, const Structure& to) {
-  const BigInt naive = CountHomsNaive(from, to);
-  for (bool domains : {false, true}) {
-    DpOptions options;
-    options.use_domains = domains;
-    options.domain_min_work = 0;  // Engage domains on any instance size.
-    options.order_search_max_atoms = domains ? 12 : 0;
-    EXPECT_EQ(CountHoms(from, to, options), naive)
-        << "domains=" << domains << " from=" << from.ToString()
-        << " to=" << to.ToString();
-  }
-  DpOptions domains_forced;
-  domains_forced.domain_min_work = 0;
-  EXPECT_EQ(CountHoms(from, to, domains_forced), naive)
-      << "domains forced, from=" << from.ToString()
-      << " to=" << to.ToString();
-}
-
 TEST(HomDiffTest, MixedAritySchemaWithNullaryRelations) {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("H", 0);  // Nullary: pure presence constraint.
@@ -99,10 +78,8 @@ TEST(HomDiffTest, ConnectedSourcesIntoLargerTargets) {
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnDenseNearRegularDigraphs) {
-  // Dense digraphs are the regime the domain layer targets: big uniform
-  // buckets defeat single-bucket selection, while near-regular degree
-  // sequences keep the arc-consistency fixpoint non-trivial.
+TEST(HomDiffTest, DenseNearRegularDigraphs) {
+  // Dense digraphs: big uniform buckets defeat single-bucket selection.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   Rng rng(0xdeca1);
@@ -111,13 +88,13 @@ TEST(HomDiffTest, DomainCoreOnDenseNearRegularDigraphs) {
     Structure from =
         RandomConnectedStructure(schema, 2 + rng.Below(3), &rng, 3, 4);
     Structure to = RandomStructure(schema, 2 + rng.Below(4), &rng, 3, 4);
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnHighAritySparseSchemas) {
-  // High-arity sparse relations stress repeated-variable support and the
-  // per-position occupancy seeding (most positions have tiny masks).
+TEST(HomDiffTest, HighAritySparseSchemas) {
+  // High-arity sparse relations stress repeated variables within an atom
+  // and positions with mostly empty buckets.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("T", 3);
   schema->AddRelation("Q", 4);
@@ -126,13 +103,13 @@ TEST(HomDiffTest, DomainCoreOnHighAritySparseSchemas) {
   for (int iter = 0; iter < iters; ++iter) {
     Structure from = RandomStructure(schema, 1 + rng.Below(3), &rng, 1, 6);
     Structure to = RandomStructure(schema, 1 + rng.Below(3), &rng, 1, 3);
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
 }
 
-TEST(HomDiffTest, DomainCoreOnDisconnectedSourcesWithNullaries) {
-  // Component decomposition × nullary presence constraints × the domain
-  // layer: the product-of-components fold must stay exact under all knobs.
+TEST(HomDiffTest, DisconnectedSourcesWithNullaries) {
+  // Component decomposition × nullary presence constraints: the
+  // product-of-components fold must stay exact.
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("H", 0);
   schema->AddRelation("P", 1);
@@ -144,7 +121,7 @@ TEST(HomDiffTest, DomainCoreOnDisconnectedSourcesWithNullaries) {
     Structure from = RandomStructure(schema, rng.Below(5), &rng, 1, 3);
     Structure to = RandomStructure(schema, rng.Below(4), &rng, 1, 2);
     if (!from.IsConnected()) ++disconnected;
-    ExpectDomainCoreAgrees(from, to);
+    ExpectAllEnginesAgree(from, to);
   }
   EXPECT_GT(disconnected, iters / 4);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "query/cq.h"
 #include "structs/generator.h"
+#include "structs/index.h"
 #include "util/rng.h"
 
 namespace bagdet {
@@ -142,6 +146,102 @@ TEST(HomTest, InjectiveCouplesComponents) {
   two_edges.AddFact(0, {2, 3});
   EXPECT_EQ(CountHoms(two_edges, Edge(schema)), BigInt(1));
   EXPECT_EQ(CountInjectiveHoms(two_edges, Edge(schema)), BigInt(0));
+}
+
+TEST(HomTest, ClosedFormsSurviveEveryEngine) {
+  // hom(C4, K_n) = trace(A_{K_n}^4) = (n-1)^4 + (n-1); pin the DP and the
+  // backtracking enumeration to the formula.
+  auto schema = GraphSchema();
+  Structure cycle = Cycle(schema, 4);
+  for (Element n : {Element{2}, Element{5}, Element{9}}) {
+    const std::int64_t k = static_cast<std::int64_t>(n) - 1;
+    const BigInt expected = BigInt(k * k * k * k + k);
+    EXPECT_EQ(CountHoms(cycle, Clique(schema, n)), expected) << n;
+    EXPECT_EQ(CountHomsByEnumeration(cycle, Clique(schema, n)), expected)
+        << n;
+  }
+}
+
+TEST(HomTest, MatcherBucketIntersectionOnWideBuckets) {
+  // Clique(20) buckets hold 19 fact ids — past the Matcher's
+  // intersection threshold, so the runner-up bucket's marks drive the
+  // candidate scan. The injective path count into a clique has a closed
+  // form (every vertex sequence of distinct elements is a path) to pin
+  // the scan against.
+  auto schema = GraphSchema();
+  Structure path(schema, 4);
+  for (Element i = 0; i < 3; ++i) {
+    path.AddFact(0, {i, static_cast<Element>(i + 1)});
+  }
+  EXPECT_EQ(CountInjectiveHoms(path, Clique(schema, 20)),
+            BigInt(std::int64_t{20} * 19 * 18 * 17));
+  EXPECT_TRUE(ExistsHom(path, Clique(schema, 20)));
+}
+
+TEST(HomTest, EvaluateIntoDenseDigraphMatchesBruteForceBag) {
+  // Relation 0 is the edge relation; X and Y pin the free variables to
+  // constants, so the multiplicity of answer (a, b) is the naive hom count
+  // of the body marked X(x), Y(y) into the data marked X(a), Y(b).
+  auto schema = std::make_shared<Schema>();
+  schema->AddRelation("E", 2);
+  schema->AddRelation("X", 1);
+  schema->AddRelation("Y", 1);
+  constexpr Element kN = 20;
+  Rng rng(0x5eed17);
+  // Complete digraph with loops, minus random edges: each vertex loses at
+  // most 3 out- and 3 in-edges.
+  Structure data(schema, kN);
+  std::vector<int> out_dropped(kN, 0), in_dropped(kN, 0);
+  for (Element a = 0; a < kN; ++a) {
+    for (Element b = 0; b < kN; ++b) {
+      if (out_dropped[a] < 3 && in_dropped[b] < 3 && rng.Chance(1, 10)) {
+        ++out_dropped[a];
+        ++in_dropped[b];
+        continue;
+      }
+      data.AddFact(0, {a, b});
+    }
+  }
+  // So every in- and out-bucket holds more than 16 ids (and at most 20,
+  // so any two are within 2x), and every atom with two bound positions
+  // goes through the Matcher's bucket intersection.
+  for (std::size_t pos = 0; pos < 2; ++pos) {
+    for (Element v = 0; v < kN; ++v) {
+      ASSERT_GT(data.Index().BucketSize(0, pos, v), 16u);
+    }
+  }
+  // q1(x, y) :- E(x,y), E(y,z), E(x,z): a triangle, one intersection.
+  // q2(x) :- E(x,y), E(x,z), E(y,z), E(y,w), E(z,w): nested ones.
+  const std::vector<ConjunctiveQuery> queries = {
+      ConjunctiveQuery("q1", schema, {"x", "y", "z"}, 2,
+                       {{0, {0, 1}}, {0, {1, 2}}, {0, {0, 2}}}),
+      ConjunctiveQuery(
+          "q2", schema, {"x", "y", "z", "w"}, 1,
+          {{0, {0, 1}}, {0, {0, 2}}, {0, {1, 2}}, {0, {1, 3}}, {0, {2, 3}}}),
+  };
+  for (const ConjunctiveQuery& q : queries) {
+    Structure marked_body = q.FrozenBody();
+    for (std::size_t i = 0; i < q.NumFreeVars(); ++i) {
+      marked_body.AddFact(static_cast<RelationId>(1 + i),
+                          {static_cast<Element>(i)});
+    }
+    AnswerBag expected;
+    const std::size_t num_heads =
+        q.NumFreeVars() == 2 ? std::size_t{kN} * kN : std::size_t{kN};
+    for (std::size_t h = 0; h < num_heads; ++h) {
+      Tuple head = q.NumFreeVars() == 2
+                       ? Tuple{static_cast<Element>(h / kN),
+                               static_cast<Element>(h % kN)}
+                       : Tuple{static_cast<Element>(h)};
+      Structure marked_data = data;
+      for (std::size_t i = 0; i < head.size(); ++i) {
+        marked_data.AddFact(static_cast<RelationId>(1 + i), {head[i]});
+      }
+      const BigInt count = CountHomsNaive(marked_body, marked_data);
+      if (!count.IsZero()) expected[head] = count;
+    }
+    EXPECT_TRUE(AnswerBagsEqual(q.Evaluate(data), expected)) << q.ToString();
+  }
 }
 
 TEST(HomTest, EnumerateHomsVisitsEach) {
