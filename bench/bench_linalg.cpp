@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "linalg/cone.h"
 #include "linalg/gauss.h"
 #include "tests/test_matrices.h"
 #include "util/bigint.h"
@@ -86,17 +87,6 @@ void BM_GaussianElimination(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianElimination)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_MatrixInverse(benchmark::State& state) {
-  Rng rng(17);
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Mat m = RandomMatrix(&rng, n, -9, 9);
-  while (!IsNonsingular(m)) m = RandomMatrix(&rng, n, -9, 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Inverse(m));
-  }
-}
-BENCHMARK(BM_MatrixInverse)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_SpanMembership(benchmark::State& state) {
   Rng rng(19);
@@ -263,32 +253,27 @@ void BM_DeterminantBigEntriesExact(benchmark::State& state) {
 }
 BENCHMARK(BM_DeterminantBigEntriesExact)->Arg(4)->Arg(6)->Arg(8);
 
-// --- Exact inverse -------------------------------------------------------
+// --- Scaled Vandermonde cone ---------------------------------------------
 //
-// Args are {dimension, limbs}: entries are random 32·limbs-bit integers,
-// so the pair sweeps both the dimension and the bit-size axis. Inverse is
-// the exact Gauss–Jordan elimination on [A|I]; the bench keeps the name
-// it had when it was the reference for a modular inverse, so its perf-gate
-// pins carry over.
+// Args are {k, limbs}: SimplicialCone construction (structure check plus
+// the Lagrange build) on diag(q)·V(b) with k random 32·limbs-bit nodes —
+// the shape of the good basis' evaluation matrix, whose nodes are
+// radix-sized hom counts.
 
-Mat RandomNonsingularBigMatrix(Rng* rng, std::size_t n, int limbs) {
-  Mat m = testmat::RandomBigMatrix(rng, n, n, limbs);
-  while (!IsNonsingular(m)) m = testmat::RandomBigMatrix(rng, n, n, limbs);
-  return m;
-}
-
-void BM_ModularInverseExact(benchmark::State& state) {
+void BM_ScaledVandermondeCone(benchmark::State& state) {
   Rng rng(59);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Mat m = RandomNonsingularBigMatrix(&rng, n, static_cast<int>(state.range(1)));
+  const Mat m = testmat::RandomScaledVandermonde(
+      &rng, static_cast<std::size_t>(state.range(0)),
+      static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Inverse(m));
+    SimplicialCone cone(m);
+    benchmark::DoNotOptimize(cone);
   }
-  state.SetLabel(std::to_string(32 * state.range(1)) + "-bit entries");
+  state.SetLabel(std::to_string(32 * state.range(1)) + "-bit nodes");
 }
-BENCHMARK(BM_ModularInverseExact)
-    ->Args({4, 1})->Args({8, 1})->Args({12, 1})->Args({16, 1})
-    ->Args({4, 8})->Args({8, 8})->Args({12, 8})->Args({16, 8})
+BENCHMARK(BM_ScaledVandermondeCone)
+    ->Args({4, 1})->Args({8, 1})->Args({12, 1})
+    ->Args({4, 8})->Args({8, 8})->Args({12, 8})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_IsNonsingularBigEntries(benchmark::State& state) {

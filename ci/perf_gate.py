@@ -30,19 +30,17 @@ Baseline format::
      "benchmarks": {"BM_x/8/2": {"real_time_ns": 1.2e6}}}
 
 Only benchmarks matching PINNED_PREFIXES are baselined: the gate pins the
-exact inverse sweep, the decide loop and counterexample synthesis, not every microbenchmark, so a refactor adding
-benches does not invalidate baselines.
+decide loop and counterexample synthesis, not every microbenchmark, so a
+refactor adding benches does not invalidate baselines.
 """
 
 import argparse
 import json
 import sys
 
-# Benchmarks worth gating: the exact inverse sweep behind the cone, the
-# end-to-end decide loop, and counterexample synthesis (cone inverse +
-# Lemma-57 walk).
+# Benchmarks worth gating: the end-to-end decide loop and counterexample
+# synthesis (Vandermonde cone + Lemma-57 walk).
 PINNED_PREFIXES = (
-    "BM_ModularInverse",
     "BM_DecideDetermined",
     "BM_SynthesizeCounterexample",
 )

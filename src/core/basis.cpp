@@ -7,7 +7,6 @@
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
 #include "hom/symbolic.h"
-#include "linalg/gauss.h"
 
 namespace bagdet {
 
@@ -102,22 +101,28 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   // The symbolic evaluation's leaf counts were all warmed by the Step-2
   // batch, so each row costs only the BigInt radix arithmetic.
   basis.evaluation = Mat(k, k);
+  std::vector<BigInt> nodes;  // b_i = |hom(w_i, s(2))|.
+  nodes.reserve(k);
+  bool positive = true;
   for (std::size_t i = 0; i < k; ++i) {
     BigInt base_count = CountHomsSymbolic(w[i], basis.step2, cache);
     BigInt q_count = cache->Count(w_refs[i], analysis.query.FrozenBody());
+    positive = positive && q_count.Sign() > 0;
     BigInt power(1);
     for (std::size_t j = 0; j < k; ++j) {
       basis.evaluation.At(i, j) = Rational(power * q_count);
       power *= base_count;
     }
+    nodes.push_back(std::move(base_count));
   }
 
-  // Rank-growth check: IsNonsingular's word-size determinant probe over
-  // Z/p certifies det != 0 without touching the radix-sized BigInt
-  // entries; only an inconclusive probe (unlucky prime) pays the exact
-  // rank.
-  const bool full_rank = IsNonsingular(basis.evaluation);
-  if (!full_rank) {
+  // Lemma 46: M = diag(q)·V(b) has det M = Π q_i · Π_{i<j}(b_j − b_i), so
+  // it is nonsingular iff every q_i ≠ 0 and the nodes are pairwise
+  // distinct. Relevance makes q_i > 0 and Observation 45 makes the nodes
+  // distinct, so a failure here is a construction bug.
+  std::sort(nodes.begin(), nodes.end());
+  if (!positive ||
+      std::adjacent_find(nodes.begin(), nodes.end()) != nodes.end()) {
     throw std::logic_error(
         "BuildGoodBasis: evaluation matrix is singular (construction bug)");
   }

@@ -21,11 +21,6 @@ PerturbationWalk WalkIntoCone(const SimplicialCone& cone, const Vec& p,
     }
     exponents.push_back(z[i].numerator().ToInt64());
   }
-  const std::int64_t lo =
-      n == 0 ? 0 : *std::min_element(exponents.begin(), exponents.end());
-  const std::int64_t hi =
-      n == 0 ? 0 : *std::max_element(exponents.begin(), exponents.end());
-
   // p = y / L with y integral.
   const BigInt denominator = p.CommonDenominator();
   std::vector<BigInt> y;
@@ -33,28 +28,47 @@ PerturbationWalk WalkIntoCone(const SimplicialCone& cone, const Vec& p,
     y.push_back(p[i].numerator() * (denominator / p[i].denominator()));
   }
 
+  // Exponent classes: the distinct values e of z, ascending. Every entry
+  // of a class gets the same factor a^(e − lo)·b^(hi − e) at each step, so
+  // the cone splits y by class once and a step costs k products per class.
+  std::vector<std::int64_t> classes = exponents;
+  std::sort(classes.begin(), classes.end());
+  classes.erase(std::unique(classes.begin(), classes.end()), classes.end());
+  std::vector<std::size_t> class_of(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    class_of[i] = static_cast<std::size_t>(
+        std::lower_bound(classes.begin(), classes.end(), exponents[i]) -
+        classes.begin());
+  }
+  const std::int64_t lo = n == 0 ? 0 : classes.front();
+  const std::int64_t hi = n == 0 ? 0 : classes.back();
+  // One forced deadline check per step, and one before the split: each
+  // multiplies ever-longer integers, far costlier than a clock read.
+  if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("core.walk");
+  const SimplicialCone::GroupedPoint grouped =
+      cone.Group(y, class_of, classes.size());
+
   PerturbationWalk walk;
-  std::vector<BigInt> perturbed(n);
+  std::vector<BigInt> weights(classes.size());
   for (std::int64_t j = 1; j <= PerturbationWalk::kMaxWalkSteps; ++j) {
-    // One forced deadline check per step: each step multiplies ever-longer
-    // integers, far costlier than a clock read.
     if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("core.walk");
     const BigInt b = BigInt::Pow(BigInt(2), static_cast<std::uint64_t>(j));
     const BigInt a = b + BigInt(1);
     // P′_i = a^(z_i − lo) · b^(hi − z_i) · y_i = t^z_i · p_i · L · b^hi / a^lo,
     // so P′ is a positive multiple of t^z ∘ p.
-    for (std::size_t i = 0; i < n; ++i) {
-      perturbed[i] =
-          BigInt::Pow(a, static_cast<std::uint64_t>(exponents[i] - lo)) *
-          BigInt::Pow(b, static_cast<std::uint64_t>(hi - exponents[i])) * y[i];
+    for (std::size_t g = 0; g < classes.size(); ++g) {
+      weights[g] =
+          BigInt::Pow(a, static_cast<std::uint64_t>(classes[g] - lo)) *
+          BigInt::Pow(b, static_cast<std::uint64_t>(hi - classes[g]));
     }
-    std::optional<Vec> coordinates = cone.NonNegativeCoordinates(perturbed);
+    // M⁻¹p′ = M⁻¹P′ · a^lo / (b^hi · L).
+    std::optional<Vec> coordinates = cone.NonNegativeCombination(
+        grouped, weights,
+        Rational::Pow(Rational(a), lo) * Rational::Pow(Rational(b), -hi) /
+            Rational(denominator));
     if (coordinates.has_value()) {
       walk.t = Rational(a, b);
-      walk.coordinates =
-          *coordinates * (Rational::Pow(Rational(a), lo) *
-                          Rational::Pow(Rational(b), -hi) /
-                          Rational(denominator));
+      walk.coordinates = std::move(*coordinates);
       return walk;
     }
   }

@@ -16,10 +16,14 @@
 // The Lemma-57 walk runs on integers. With t = a/b, a = 2^j + 1, b = 2^j,
 // and p = y / L for an integer vector y, the vector
 // P′_i = a^(z_i − z_min) · b^(z_max − z_i) · y_i is a positive integer
-// multiple of p′ = t^z ∘ p, so p′ ∈ 𝒞 ⇔ P′ ∈ 𝒞, which the cone tests on
-// integers (SimplicialCone::NonNegativeCoordinates, linalg/cone.h). The
-// walk takes the first such j; α′ = M⁻¹p′ becomes a Rational once, for
-// that j.
+// multiple of p′ = t^z ∘ p, so p′ ∈ 𝒞 ⇔ P′ ∈ 𝒞. Entries with equal z_i
+// share their factor, so the walk groups y by the distinct values of z
+// (three classes on the cycle ramps) and the cone precomputes the
+// coordinates of each class once (SimplicialCone::Group, linalg/cone.h). A
+// step then weighs those per-class coordinates by the class factors — k
+// products per class instead of a perturbation plus a k × k mat-vec — and
+// stops at the first negative row. The walk takes the first j whose
+// coordinates are all ≥ 0; α′ = M⁻¹p′ becomes a Rational once, for that j.
 
 #ifndef BAGDET_CORE_COUNTEREXAMPLE_H_
 #define BAGDET_CORE_COUNTEREXAMPLE_H_
@@ -50,7 +54,8 @@ struct PerturbationWalk {
 
 /// Walks t = (2^j + 1)/2^j toward 1 until t^z ∘ p falls inside `cone`.
 /// `z` must be integral (throws std::logic_error otherwise). Forces a
-/// deadline check on the current ExecContext once per step ("core.walk").
+/// deadline check on the current ExecContext before grouping and once per
+/// step ("core.walk").
 PerturbationWalk WalkIntoCone(const SimplicialCone& cone, const Vec& p,
                               const Vec& z);
 

@@ -588,12 +588,16 @@ BigInt CountHomsNaive(const Structure& from, const Structure& to) {
   if (n == 0) return BigInt(1);
   if (m == 0) return BigInt(0);
   std::vector<Element> assignment(n, 0);
-  BigInt count(0);
+  // The odometer visits every one of the m^n assignments, so the count
+  // stays far below 2^63; one image buffer serves every fact of every
+  // assignment.
+  std::uint64_t count = 0;
+  Tuple image;
   for (;;) {
     bool ok = true;
     for (RelationId r = 0; r < from.schema().NumRelations() && ok; ++r) {
       for (const Tuple& t : from.Facts(r)) {
-        Tuple image(t.size());
+        image.resize(t.size());
         for (std::size_t i = 0; i < t.size(); ++i) image[i] = assignment[t[i]];
         if (!to.HasFact(r, image)) {
           ok = false;
@@ -601,7 +605,7 @@ BigInt CountHomsNaive(const Structure& from, const Structure& to) {
         }
       }
     }
-    if (ok) count += BigInt(1);
+    if (ok) ++count;
     // Advance the odometer.
     std::size_t i = 0;
     while (i < n && ++assignment[i] == m) {
@@ -610,7 +614,7 @@ BigInt CountHomsNaive(const Structure& from, const Structure& to) {
     }
     if (i == n) break;
   }
-  return count;
+  return BigInt(static_cast<std::int64_t>(count));
 }
 
 bool EnumerateHoms(

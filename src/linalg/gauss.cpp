@@ -127,92 +127,6 @@ Rational Determinant(Mat m) {
   return det;
 }
 
-std::optional<ScaledInverse> InverseFractionFree(const Mat& m) {
-  if (m.rows() != m.cols()) return std::nullopt;
-  const std::size_t n = m.rows();
-  const std::size_t width = 2 * n;
-  ScaledInverse out;
-  out.n = n;
-  // [N | I] with N = D·M: row r scaled by the lcm of its denominators.
-  std::vector<BigInt> a(n * width);
-  for (std::size_t r = 0; r < n; ++r) {
-    BigInt lcm = m.Row(r).CommonDenominator();
-    for (std::size_t c = 0; c < n; ++c) {
-      const Rational& q = m.At(r, c);
-      a[r * width + c] = q.numerator() * (lcm / q.denominator());
-    }
-    a[r * width + n + r] = BigInt(1);
-    out.row_scales.push_back(std::move(lcm));
-  }
-
-  // Fraction-free Gauss–Jordan: at step k every other row i becomes
-  // (a_kk·a_i − a_ik·a_k) / p, p the previous pivot, and every division is
-  // exact (the entries are minors of [N | I]). Columns ≤ k of the other
-  // rows are never read again: they hold zeros and the pivot, so the left
-  // block ends as d·I and the right block as R.
-  BigInt prev(1);
-  for (std::size_t k = 0; k < n; ++k) {
-    // One forced clock read per pivot row, like ReduceToRref.
-    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("linalg.exact");
-    std::size_t found = n;
-    std::size_t found_bits = 0;
-    for (std::size_t r = k; r < n; ++r) {
-      const BigInt& entry = a[r * width + k];
-      if (entry.IsZero()) continue;
-      if (found == n || entry.BitLength() < found_bits) {
-        found = r;
-        found_bits = entry.BitLength();
-      }
-    }
-    if (found == n) return std::nullopt;
-    if (found != k) {
-      std::swap_ranges(a.begin() + found * width,
-                       a.begin() + (found + 1) * width, a.begin() + k * width);
-    }
-    const BigInt& pivot = a[k * width + k];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i == k) continue;
-      const BigInt& lead = a[i * width + k];
-      for (std::size_t j = k + 1; j < width; ++j) {
-        BigInt& x = a[i * width + j];
-        const BigInt& above = a[k * width + j];
-        // Most of the right block is still zero early on.
-        if (x.IsZero() && above.IsZero()) continue;
-        x *= pivot;
-        x.MulSub(lead, above);
-        if (!prev.IsOne()) BigInt::DivMod(x, prev, &x, nullptr);
-      }
-    }
-    prev = pivot;
-  }
-
-  // Normalize to d > 0 so callers test signs against zero.
-  const bool negate = prev.IsNegative();
-  out.d = negate ? -prev : std::move(prev);
-  out.r.reserve(n * n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      BigInt& x = a[r * width + n + c];
-      out.r.push_back(negate ? -x : std::move(x));
-    }
-  }
-  return out;
-}
-
-std::optional<Mat> Inverse(const Mat& m) {
-  std::optional<ScaledInverse> scaled = InverseFractionFree(m);
-  if (!scaled.has_value()) return std::nullopt;
-  const std::size_t n = scaled->n;
-  Mat inverse(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      inverse.At(r, c) =
-          Rational(scaled->R(r, c) * scaled->row_scales[c], scaled->d);
-    }
-  }
-  return inverse;
-}
-
 std::optional<Vec> SolveLinearSystem(const Mat& a, const Vec& b) {
   if (b.size() != a.rows()) {
     throw std::invalid_argument("SolveLinearSystem: size mismatch");

@@ -12,19 +12,15 @@
 // depends on the prime. Determinant uses fraction-free Bareiss
 // elimination for the dense-integer case.
 //
-// Inverse has one exact path, with no rational arithmetic until its last
-// step: InverseFractionFree clears each row's denominators (N = D·M) and
-// runs a fraction-free Gauss–Jordan elimination on [N | I] whose every
-// division by the previous pivot is exact (Bareiss), giving integers R and
-// d with N·R = d·I. Inverse then normalizes M⁻¹ = R·D / d once per entry.
-// Its one pipeline caller, the SimplicialCone of the negative certificate,
-// keeps R, D and d and never builds the rational inverse at all.
+// There is no general inverse. The one matrix the pipeline inverts, the
+// good basis' evaluation matrix, is a scaled Vandermonde matrix, and the
+// SimplicialCone of the negative certificate (linalg/cone.h) inverts it by
+// Lagrange interpolation.
 //
 // Governance: the exact eliminations (ReduceToRref, hence every consumer
-// above, InverseFractionFree, hence Inverse, and DeterminantBareiss) force
-// a deadline check on the current ExecContext once per pivot row, kernel
-// "linalg.exact", so a governed caller trips within one row of its
-// deadline.
+// above, and DeterminantBareiss) force a deadline check on the current
+// ExecContext once per pivot row, kernel "linalg.exact", so a governed
+// caller trips within one row of its deadline.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -60,30 +56,6 @@ bool IsNonsingular(const Mat& m);
 /// elimination (linalg/modular_solve.h) for integer matrices; plain exact
 /// elimination over Q otherwise.
 Rational Determinant(Mat m);
-
-/// The fraction-free inverse of a square nonsingular matrix M. With D the
-/// diagonal of row denominator lcms, N = D·M is integral, and N·R = d·I for
-/// the integer matrix R and the integer d > 0 held here (R = ±adj(N) and
-/// d = |det N|). Hence M⁻¹ = R·D / d.
-struct ScaledInverse {
-  std::size_t n = 0;
-  std::vector<BigInt> row_scales;  ///< D: lcm of each row's denominators.
-  std::vector<BigInt> r;           ///< R, row-major n × n.
-  BigInt d{1};                     ///< d > 0.
-
-  const BigInt& R(std::size_t row, std::size_t col) const {
-    return r[row * n + col];
-  }
-};
-
-/// Fraction-free Gauss–Jordan elimination on [D·M | I] with Bareiss' exact
-/// divisions by the previous pivot; std::nullopt when M is singular or not
-/// square.
-std::optional<ScaledInverse> InverseFractionFree(const Mat& m);
-
-/// Inverse of a square nonsingular matrix: R·D / d from
-/// InverseFractionFree; std::nullopt when singular or not square.
-std::optional<Mat> Inverse(const Mat& m);
 
 /// One solution x of A x = b, or std::nullopt when inconsistent. When the
 /// system is underdetermined the free variables are set to zero.

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/exec_context.h"
+
 namespace bagdet {
 
 bool Vec::IsZero() const {
@@ -135,6 +137,9 @@ Vec Mat::Apply(const Vec& v) const {
   if (v.size() != cols_) throw std::invalid_argument("Mat: apply size mismatch");
   Vec result(rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
+    // One forced clock read per row. The pipeline's one caller is the
+    // cone's interior point, hence the kernel name.
+    if (ExecContext* ctx = CurrentExecContext()) ctx->CheckNow("linalg.cone");
     Rational sum;
     for (std::size_t c = 0; c < cols_; ++c) sum += At(r, c) * v[c];
     result[r] = sum;

@@ -105,7 +105,9 @@ class Mat {
   }
   friend bool operator!=(const Mat& a, const Mat& b) { return !(a == b); }
 
-  /// Matrix-vector product; `v.size()` must equal `cols()`.
+  /// Matrix-vector product; `v.size()` must equal `cols()`. Forces a
+  /// deadline check on the current ExecContext once per row, kernel
+  /// "linalg.cone".
   Vec Apply(const Vec& v) const;
 
   /// Matrix-matrix product; `other.rows()` must equal `cols()`.

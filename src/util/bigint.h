@@ -17,9 +17,9 @@
 // operands are viewed in place (`MagnitudeSpan`, no copy for either
 // representation), results are computed into per-thread arena scratch and
 // committed back through `CommitSpan`, which reuses the value's retained
-// limb capacity. In steady state the fraction-free eliminations (Bareiss,
-// the [N | I] inverse) therefore perform zero heap allocations; the fused
-// `MulAdd`/`MulSub` cover their dominant `x ± a*b` shape without
+// limb capacity. In steady state the fraction-free Bareiss elimination and
+// the cone's integer mat-vecs therefore perform zero heap allocations; the
+// fused `MulAdd`/`MulSub` cover their dominant `x ± a*b` shape without
 // materializing the product as a temporary.
 
 #ifndef BAGDET_UTIL_BIGINT_H_

@@ -1,7 +1,7 @@
 // bagdet: span-based limb kernels and the per-thread scratch arena backing
 // BigInt's heap representation.
 //
-// The exact eliminations (fraction-free Bareiss and Gauss–Jordan, the
+// The exact kernels (fraction-free Bareiss, the cone's integer mat-vecs, the
 // rational RREF) execute millions of short BigInt operations whose
 // operands hover around a steady-state size. Before this layer existed,
 // every such operation copied its operands into fresh `std::vector` limb

@@ -1,7 +1,7 @@
 // bagdet: exact rational arithmetic on top of BigInt.
 //
 // All linear algebra in the determinacy pipeline (span tests, nullspaces,
-// inverse evaluation matrices, the t^z ∘ p perturbation of Lemma 56) is
+// the cone of the evaluation matrix, the t^z ∘ p perturbation of Lemma 56) is
 // carried out over Q exactly; Rational is the scalar type.
 
 #ifndef BAGDET_UTIL_RATIONAL_H_

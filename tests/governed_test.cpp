@@ -511,10 +511,11 @@ TEST_F(GovernedTest, DecideSurvivesDistinguisherExhaustion) {
 }
 
 TEST_F(GovernedTest, WalkExhaustionIsTyped) {
-  // p = M·(0,1) lies on the boundary of the cone of M = [[1,1],[0,1]], and
-  // t^z ∘ p = (1, t) has coordinates (1 − t, t): the first is negative for
-  // every t > 1, so no step of the walk re-enters the cone.
-  const Mat m{{Rational(1), Rational(1)}, {Rational(0), Rational(1)}};
+  // p = M·(0,1) = (1, 2) lies on the boundary of the cone of
+  // M = [[1,1],[1,2]], and t^z ∘ p = (1, 2t) has coordinates
+  // (2 − 2t, 2t − 1): the first is negative for every t > 1, so no step of
+  // the walk re-enters the cone.
+  const Mat m{{Rational(1), Rational(1)}, {Rational(1), Rational(2)}};
   const SimplicialCone cone(m);
   const Vec p = m.Apply(Vec{Rational(0), Rational(1)});
   const Vec z{Rational(0), Rational(1)};
@@ -527,25 +528,27 @@ TEST_F(GovernedTest, WalkExhaustionIsTyped) {
   EXPECT_EQ(walk->status.code, ExecCode::kResourceExhausted);
   EXPECT_EQ(walk->status.kernel, "core.walk");
   EXPECT_TRUE(walk->coordinates.empty());
-  // From the interior point M·𝟙 the same walk converges.
+  // From the interior point M·𝟙 = (2, 3) the same walk converges: the
+  // coordinates (4 − 3t, 3t − 2) are first nonnegative at t = 5/4.
   const PerturbationWalk inside = WalkIntoCone(cone, cone.InteriorPoint(), z);
   ASSERT_TRUE(inside.status.ok());
-  EXPECT_EQ(inside.t, Rational(BigInt(3), BigInt(2)));
-  EXPECT_EQ(inside.coordinates, (Vec{Rational(BigInt(1), BigInt(2)),
-                                     Rational(BigInt(3), BigInt(2))}));
+  EXPECT_EQ(inside.t, Rational(BigInt(5), BigInt(4)));
+  EXPECT_EQ(inside.coordinates, (Vec{Rational(BigInt(1), BigInt(4)),
+                                     Rational(BigInt(7), BigInt(4))}));
 }
 
 TEST_F(GovernedTest, WalkGivesUpAfterItsLastStep) {
-  // With M = [[1,1],[0,1]] and z = (0,1), the point p = (1 + ε, 1) walks to
-  // (1 + ε, t), whose coordinates (1 + ε − t, t) are nonnegative iff
-  // t = 1 + 2^-j ≤ 1 + ε. So ε = 2^-j0 is first accepted at step j0.
-  const Mat m{{Rational(1), Rational(1)}, {Rational(0), Rational(1)}};
+  // With M = [[1,1],[1,2]] and z = (0,1), the point p = (1 + ε, 2) walks
+  // to (1 + ε, 2t), whose coordinates (2(1 + ε − t), 2t − 1 − ε) are
+  // nonnegative iff t = 1 + 2^-j ≤ 1 + ε. So ε = 2^-j0 is first accepted
+  // at step j0.
+  const Mat m{{Rational(1), Rational(1)}, {Rational(1), Rational(2)}};
   const SimplicialCone cone(m);
   const Vec z{Rational(0), Rational(1)};
   const auto walk_with = [&](std::int64_t j0) {
     const Rational eps(BigInt(1),
                        BigInt::Pow(BigInt(2), static_cast<std::uint64_t>(j0)));
-    return WalkIntoCone(cone, Vec{Rational(1) + eps, Rational(1)}, z);
+    return WalkIntoCone(cone, Vec{Rational(1) + eps, Rational(2)}, z);
   };
   const std::int64_t last = PerturbationWalk::kMaxWalkSteps;
   EXPECT_EQ(last, 4097);
@@ -561,12 +564,13 @@ TEST_F(GovernedTest, WalkGivesUpAfterItsLastStep) {
 TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
   // A context cancelled up front trips at the first forced checkpoint of
   // each kernel, which names it.
-  const Mat m{{Rational(2), Rational(1)}, {Rational(1), Rational(1)}};
+  const Mat m{{Rational(1), Rational(1)}, {Rational(1), Rational(2)}};
   const Mat wide{{Rational(1), Rational(2), Rational(3), Rational(4)},
                  {Rational(2), Rational(0), Rational(1), Rational(5)},
                  {Rational(0), Rational(3), Rational(1), Rational(1)}};
   const std::vector<Vec> basis = {wide.Row(0), wide.Row(1)};
   const SimplicialCone cone(m);
+  const Vec interior = cone.InteriorPoint();
   const auto expect_trip = [&](const char* kernel, auto&& fn) {
     SCOPED_TRACE(kernel);
     ExecContext exec{ExecLimits{}};
@@ -576,15 +580,15 @@ TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
     EXPECT_EQ(status.code, ExecCode::kCancelled);
     EXPECT_EQ(status.kernel, kernel);
   };
-  expect_trip("linalg.exact", [&] { return Inverse(m); });
-  expect_trip("linalg.exact", [&] { return InverseFractionFree(m); });
+  expect_trip("linalg.cone", [&] { return SimplicialCone(m); });
+  expect_trip("linalg.cone", [&] { return cone.Coordinates(interior); });
+  expect_trip("linalg.cone", [&] { return cone.InteriorPoint(); });
   expect_trip("linalg.exact", [&] { return DeterminantBareiss(m); });
   expect_trip("linalg.exact", [&] { return ReduceToRref(wide); });
   expect_trip("linalg.exact",
               [&] { return TestSpanMembership(basis, wide.Row(2)); });
   expect_trip("core.walk", [&] {
-    return WalkIntoCone(cone, cone.InteriorPoint(),
-                        Vec{Rational(1), Rational(-1)});
+    return WalkIntoCone(cone, interior, Vec{Rational(1), Rational(-1)});
   });
 }
 
@@ -794,10 +798,13 @@ TEST_F(GovernedTest, InjectedCancelMidDecidePipeline) {
     failpoint::Config cfg;
     cfg.action = failpoint::Action::kCancel;
     cfg.hit_on = 5;  // Deep enough that real pipeline work is in flight.
-    failpoint::Arm("hom/matcher", cfg);
+    failpoint::Arm("hom/dp_step", cfg);
     ExecContext exec{ExecLimits{}};
     GovernedDecision tripped = DecideBagDeterminacyGoverned(
         inst.views, inst.query, DeterminacyOptions(), exec);
+    // The pipeline reached the site: a site it no longer reaches would let
+    // the decision finish kOk and this test go dead.
+    EXPECT_GE(failpoint::HitCount("hom/dp_step"), cfg.hit_on);
     EXPECT_FALSE(tripped.result.has_value());
     EXPECT_EQ(tripped.status.code, ExecCode::kCancelled);
     failpoint::DisarmAll();

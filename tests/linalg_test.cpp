@@ -87,12 +87,14 @@ TEST(GaussTest, DeterminantRequiresSquare) {
 }
 
 TEST(GaussTest, InverseRoundTrip) {
+  // The reference inverse the cone and property suites check against.
   Mat m{{Q(1), Q(4)}, {Q(1), Q(2)}};
-  std::optional<Mat> inv = Inverse(m);
+  std::optional<Mat> inv = testmat::GaussJordanInverse(m);
   ASSERT_TRUE(inv.has_value());
   EXPECT_EQ(m.Multiply(*inv), Mat::Identity(2));
   EXPECT_EQ(inv->Multiply(m), Mat::Identity(2));
-  EXPECT_FALSE(Inverse(Mat{{Q(2), Q(4)}, {Q(1), Q(2)}}).has_value());
+  EXPECT_FALSE(
+      testmat::GaussJordanInverse(Mat{{Q(2), Q(4)}, {Q(1), Q(2)}}).has_value());
 }
 
 TEST(GaussTest, SolveConsistentSystem) {
@@ -190,13 +192,13 @@ TEST(GaussTest, VandermondeNonsingularLemma46) {
 
 class GaussRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-/// Inverse's contract on one square matrix: nullopt exactly when the
+/// The reference inverse on one square matrix: nullopt exactly when the
 /// matrix is singular (cross-checked against the Bareiss determinant and
 /// the modular nonsingularity probe), otherwise a two-sided inverse that
 /// also agrees with SolveLinearSystem.
 void ExpectInverseConsistent(const Mat& m, Rng* rng) {
   const std::size_t n = m.rows();
-  std::optional<Mat> inv = Inverse(m);
+  std::optional<Mat> inv = testmat::GaussJordanInverse(m);
   EXPECT_EQ(inv.has_value(), IsNonsingular(m));
   EXPECT_EQ(inv.has_value(), !Determinant(m).IsZero());
   if (!inv.has_value()) return;
@@ -241,7 +243,7 @@ TEST_P(GaussRandomTest, InverseAndSolveConsistency) {
         testmat::RandomSparseMatrix(&rng, n, n, 1, 3, -9, 9), &rng);
     const Mat low_rank =
         testmat::RandomBigLowRankMatrix(&rng, n, 1 + rng.Below(n - 1), 4);
-    EXPECT_FALSE(Inverse(low_rank).has_value());
+    EXPECT_FALSE(testmat::GaussJordanInverse(low_rank).has_value());
     ExpectInverseConsistent(low_rank, &rng);
   }
 }

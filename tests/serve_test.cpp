@@ -319,13 +319,13 @@ TEST_F(ServeTest, DeadlineTripDegradesToVerdictOnly) {
 }
 
 TEST_F(ServeTest, SynthesisDeadlineDegradesToVerdictOnly) {
-  // On the k = 20 cycle ramp the verdict took at most 3.4 ms in a Release
-  // build and 34 ms under TSan (4-core x86-64 host), and the certificate
-  // (cone inverse + perturbation walk) at least 1.7 s in Release. A 250 ms
-  // deadline therefore trips inside synthesis, and the verdict-only tier
-  // re-runs under a fresh 250 ms budget and answers.
+  // On the k = 32 cycle ramp the verdict took 2.2 ms in a Release build
+  // (4-core x86-64 host), and the certificate (good basis, cone and
+  // perturbation walk) 2.1 s. A 250 ms deadline therefore trips inside
+  // synthesis, and the verdict-only tier re-runs under a fresh 250 ms
+  // budget and answers.
   DeterminacyService service;
-  ServeRequest req = MakeUndeterminedRequest(20);
+  ServeRequest req = MakeUndeterminedRequest(32);
   req.options.want_counterexample = true;
   req.limits.deadline_ms = 250;
   ServeResponse resp = service.Call(req);

@@ -128,6 +128,41 @@ inline Mat HilbertLikeMatrix(std::size_t n, std::size_t offset = 0) {
   return m;
 }
 
+/// The scaled Vandermonde matrix diag(q)·V(b), At(i, j) = q_i·b_i^j: the
+/// shape of a good basis' evaluation matrix (Lemma 40, Steps 3–4).
+inline Mat ScaledVandermonde(const std::vector<BigInt>& q,
+                             const std::vector<BigInt>& b) {
+  const std::size_t n = q.size();
+  Mat m(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    BigInt entry = q[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      m.At(i, j) = Rational(entry);
+      entry *= b[i];
+    }
+  }
+  return m;
+}
+
+/// diag(q)·V(b) with n random signed q_i in [-5, 5] \ {0} and n pairwise
+/// distinct signed nodes: in [-12, 12] (zero included) when limbs == 0,
+/// which needs n ≤ 25, else of ~32·limbs bits.
+inline Mat RandomScaledVandermonde(Rng* rng, std::size_t n, int limbs) {
+  std::vector<BigInt> q;
+  std::vector<BigInt> b;
+  while (b.size() < n) {
+    BigInt node = limbs == 0 ? BigInt(rng->Range(-12, 12))
+                             : RandomBigSigned(rng, limbs);
+    bool fresh = true;
+    for (const BigInt& other : b) fresh = fresh && other != node;
+    if (!fresh) continue;
+    b.push_back(std::move(node));
+    std::int64_t factor = rng->Range(1, 5);
+    q.emplace_back(rng->Chance(1, 2) ? -factor : factor);
+  }
+  return ScaledVandermonde(q, b);
+}
+
 /// Sparse matrix: each entry is nonzero (uniform in [lo, hi] \ {0}) with
 /// probability density_num/density_den.
 inline Mat RandomSparseMatrix(Rng* rng, std::size_t rows, std::size_t cols,
