@@ -2,8 +2,9 @@
 // multiplication and division, Gaussian elimination, span tests and
 // orthogonal witnesses (the Main Lemma's inner loop). The *BigEntries
 // benches run on hom-count-sized integer entries — the workload
-// BENCH_linalg.json tracks; the Rank and Determinant ones keep an *Exact
-// twin that times the path their probe or Bareiss elimination replaces.
+// BENCH_linalg.json tracks. Rank, IsNonsingular and Determinant have no
+// bench of their own: the first two are one-liners over ReduceToRref, which
+// BM_RrefBigEntries times, and the pipeline calls none of them.
 
 #include <benchmark/benchmark.h>
 
@@ -153,28 +154,6 @@ void BM_RrefBigEntries(benchmark::State& state) {
 }
 BENCHMARK(BM_RrefBigEntries)->Arg(4)->Arg(6)->Arg(8);
 
-void BM_RankBigEntries(benchmark::State& state) {
-  Rng rng(31);
-  Mat m = RandomBigMatrix(&rng, static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Rank(m));
-  }
-  state.SetLabel("single-prime probe saturates");
-}
-BENCHMARK(BM_RankBigEntries)->Arg(4)->Arg(8)->Arg(12);
-
-void BM_RankBigEntriesExact(benchmark::State& state) {
-  Rng rng(31);
-  Mat m = RandomBigMatrix(&rng, static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ReduceToRref(m).rank);
-  }
-  state.SetLabel("exact elimination");
-}
-BENCHMARK(BM_RankBigEntriesExact)->Arg(4)->Arg(8)->Arg(12);
-
 void BM_NullspaceBigEntries(benchmark::State& state) {
   Rng rng(37);
   Mat m = RandomBigLowRankMatrix(&rng, static_cast<std::size_t>(state.range(0)));
@@ -202,57 +181,6 @@ void BM_SpanMembershipBigEntries(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanMembershipBigEntries)->Arg(4)->Arg(6)->Arg(8);
 
-void BM_DeterminantBigEntries(benchmark::State& state) {
-  Rng rng(43);
-  Mat m = RandomBigMatrix(&rng, static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Determinant(m));
-  }
-  state.SetLabel("fraction-free Bareiss");
-}
-BENCHMARK(BM_DeterminantBigEntries)->Arg(4)->Arg(6)->Arg(8);
-
-void BM_DeterminantBigEntriesExact(benchmark::State& state) {
-  Rng rng(43);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Mat m = RandomBigMatrix(&rng, n, n);
-  for (auto _ : state) {
-    // The seed's plain elimination over Q.
-    Mat a = m;
-    Rational det(1);
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t found = n;
-      for (std::size_t r = col; r < n; ++r) {
-        if (!a.At(r, col).IsZero()) {
-          found = r;
-          break;
-        }
-      }
-      if (found == n) {
-        det = Rational(0);
-        break;
-      }
-      if (found != col) {
-        a.SwapRows(found, col);
-        det = -det;
-      }
-      det *= a.At(col, col);
-      Rational inv = a.At(col, col).Inverse();
-      for (std::size_t r = col + 1; r < n; ++r) {
-        Rational factor = a.At(r, col) * inv;
-        if (factor.IsZero()) continue;
-        for (std::size_t c = col; c < n; ++c) {
-          a.At(r, c) -= factor * a.At(col, c);
-        }
-      }
-    }
-    benchmark::DoNotOptimize(det);
-  }
-  state.SetLabel("plain elimination over Q");
-}
-BENCHMARK(BM_DeterminantBigEntriesExact)->Arg(4)->Arg(6)->Arg(8);
-
 // --- Scaled Vandermonde cone ---------------------------------------------
 //
 // Args are {k, limbs}: SimplicialCone construction (structure check plus
@@ -275,17 +203,6 @@ BENCHMARK(BM_ScaledVandermondeCone)
     ->Args({4, 1})->Args({8, 1})->Args({12, 1})
     ->Args({4, 8})->Args({8, 8})->Args({12, 8})
     ->Unit(benchmark::kMicrosecond);
-
-void BM_IsNonsingularBigEntries(benchmark::State& state) {
-  Rng rng(47);
-  Mat m = RandomBigMatrix(&rng, static_cast<std::size_t>(state.range(0)),
-                          static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IsNonsingular(m));
-  }
-  state.SetLabel("single-prime det probe");
-}
-BENCHMARK(BM_IsNonsingularBigEntries)->Arg(4)->Arg(8)->Arg(12);
 
 }  // namespace
 }  // namespace bagdet

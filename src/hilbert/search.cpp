@@ -27,7 +27,7 @@ std::optional<NonDeterminacyWitness> SearchNonDeterminacy(
     bool has_c = false;
     std::vector<std::uint64_t> x_counts;
     std::vector<BigInt> views;
-    std::uint64_t views_fingerprint = 0;  ///< Modular probe for the scan.
+    std::uint64_t views_fingerprint = 0;  ///< Residue hash for the scan.
     BigInt query;
   };
   // Enumerate the summary grid first, then fill the entries (view counts +

@@ -1,9 +1,7 @@
 #include "linalg/gauss.h"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "linalg/modular_solve.h"
 #include "util/exec_context.h"
 
 namespace bagdet {
@@ -62,23 +60,10 @@ Rref ReduceToRref(Mat m) {
   return result;
 }
 
-std::size_t Rank(const Mat& m) {
-  // A single-prime elimination gives a certified lower bound; when it
-  // saturates min(rows, cols) the exact rank is known with no exact
-  // arithmetic at all.
-  std::optional<std::size_t> probe = ModularRankLowerBound(m);
-  if (probe.has_value() && *probe == std::min(m.rows(), m.cols())) {
-    return *probe;
-  }
-  return ReduceToRref(m).rank;
-}
+std::size_t Rank(const Mat& m) { return ReduceToRref(m).rank; }
 
 bool IsNonsingular(const Mat& m) {
-  if (m.rows() != m.cols()) return false;
-  // det(A) mod p != 0 certifies nonsingularity outright.
-  std::optional<bool> probe = ModularNonsingularProbe(m);
-  if (probe.has_value()) return *probe;
-  return Rank(m) == m.rows();
+  return m.rows() == m.cols() && Rank(m) == m.rows();
 }
 
 Rational Determinant(Mat m) {
@@ -86,20 +71,6 @@ Rational Determinant(Mat m) {
     throw std::invalid_argument("Determinant: matrix not square");
   }
   const std::size_t n = m.rows();
-  // Dense-integer case: fraction-free Bareiss keeps every intermediate a
-  // minor-bounded integer instead of a churning rational.
-  if (n >= 2) {
-    bool integral = true;
-    for (std::size_t r = 0; r < n && integral; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        if (!m.At(r, c).IsInteger()) {
-          integral = false;
-          break;
-        }
-      }
-    }
-    if (integral) return DeterminantBareiss(m);
-  }
   Rational det(1);
   for (std::size_t col = 0; col < n; ++col) {
     std::size_t found = n;

@@ -2,25 +2,22 @@
 // relies on (Fact 5: orthogonal witnesses; Lemma 46: Vandermonde
 // nonsingularity; span tests behind the Main Lemma 31).
 //
-// ReduceToRref is one exact elimination over Q, and SolveLinearSystem,
-// NullspaceBasis, TestSpanMembership and OrthogonalWitness all run on it.
-// Its inputs are the multiplicity vectors of the span test (Main Lemma 31):
-// a few rows of small integers, where exact arithmetic is cheap. Rank and
-// IsNonsingular first ask a single-prime probe (linalg/modular_solve.h),
-// which settles full rank or nonsingularity in word-size arithmetic; an
-// inconclusive probe falls back to the exact rank, so the answer never
-// depends on the prime. Determinant uses fraction-free Bareiss
-// elimination for the dense-integer case.
+// ReduceToRref is one exact elimination over Q, and Rank, IsNonsingular,
+// SolveLinearSystem, NullspaceBasis, TestSpanMembership and
+// OrthogonalWitness all run on it. Its inputs are the multiplicity vectors
+// of the span test (Main Lemma 31): a few rows of small integers, where
+// exact arithmetic is cheap. Determinant is plain exact elimination too;
+// its one caller is the figure bench (bench/exp_figures.cpp).
 //
 // There is no general inverse. The one matrix the pipeline inverts, the
 // good basis' evaluation matrix, is a scaled Vandermonde matrix, and the
 // SimplicialCone of the negative certificate (linalg/cone.h) inverts it by
 // Lagrange interpolation.
 //
-// Governance: the exact eliminations (ReduceToRref, hence every consumer
-// above, and DeterminantBareiss) force a deadline check on the current
-// ExecContext once per pivot row, kernel "linalg.exact", so a governed
-// caller trips within one row of its deadline.
+// Governance: ReduceToRref, hence every consumer above but Determinant,
+// forces a deadline check on the current ExecContext once per pivot row,
+// kernel "linalg.exact", so a governed caller trips within one row of its
+// deadline.
 
 #ifndef BAGDET_LINALG_GAUSS_H_
 #define BAGDET_LINALG_GAUSS_H_
@@ -44,17 +41,13 @@ struct Rref {
 /// growth.
 Rref ReduceToRref(Mat m);
 
-/// Rank of a matrix: the modular probe when it reaches min(rows, cols),
-/// else the exact RREF's rank.
+/// Rank of a matrix: the exact RREF's rank.
 std::size_t Rank(const Mat& m);
 
-/// True iff the square matrix is nonsingular: the modular determinant
-/// probe when it certifies, else Rank.
+/// True iff the matrix is square and of full rank.
 bool IsNonsingular(const Mat& m);
 
-/// Determinant of a square matrix. Dispatches to fraction-free Bareiss
-/// elimination (linalg/modular_solve.h) for integer matrices; plain exact
-/// elimination over Q otherwise.
+/// Determinant of a square matrix by exact elimination over Q.
 Rational Determinant(Mat m);
 
 /// One solution x of A x = b, or std::nullopt when inconsistent. When the

@@ -17,10 +17,10 @@
 // operands are viewed in place (`MagnitudeSpan`, no copy for either
 // representation), results are computed into per-thread arena scratch and
 // committed back through `CommitSpan`, which reuses the value's retained
-// limb capacity. In steady state the fraction-free Bareiss elimination and
-// the cone's integer mat-vecs therefore perform zero heap allocations; the
-// fused `MulAdd`/`MulSub` cover their dominant `x ± a*b` shape without
-// materializing the product as a temporary.
+// limb capacity. In steady state the cone's integer mat-vecs therefore
+// perform zero heap allocations; the fused `MulAdd`/`MulSub` cover the
+// dominant `x ± a*b` shape of rational arithmetic and of those mat-vecs
+// without materializing the product as a temporary.
 
 #ifndef BAGDET_UTIL_BIGINT_H_
 #define BAGDET_UTIL_BIGINT_H_
@@ -107,7 +107,7 @@ class BigInt {
 
   /// Fused multiply-accumulate: `*this += a * b` without materializing the
   /// product as a temporary BigInt. This is the shape of rational addition
-  /// and of the Bareiss update (via MulSub); the product and sum run
+  /// and subtraction (MulSub for the latter); the product and sum run
   /// entirely in per-thread arena scratch. `a` or `b`
   /// may alias `*this`.
   BigInt& MulAdd(const BigInt& a, const BigInt& b);
@@ -117,9 +117,9 @@ class BigInt {
   BigInt& MulSub(const BigInt& a, const BigInt& b);
 
   /// Residue of the value modulo a word-size modulus, always in [0, m):
-  /// Mod(-3, 7) == 4. The modular rank and determinant probes extract one
-  /// residue per prime from every matrix entry, so this walks the limbs
-  /// directly instead of routing through a BigInt division. Requires
+  /// Mod(-3, 7) == 4. The view-count fingerprint of the Theorem-2 search
+  /// takes one residue per count, so this walks the limbs directly
+  /// instead of routing through a BigInt division. Requires
   /// 0 < m < 2^63; throws std::domain_error otherwise.
   std::uint64_t Mod(std::uint64_t m) const;
 

@@ -1,17 +1,17 @@
 // bagdet: span-based limb kernels and the per-thread scratch arena backing
 // BigInt's heap representation.
 //
-// The exact kernels (fraction-free Bareiss, the cone's integer mat-vecs, the
-// rational RREF) execute millions of short BigInt operations whose
-// operands hover around a steady-state size. Before this layer existed,
-// every such operation copied its operands into fresh `std::vector` limb
-// buffers and allocated another one for the result — the malloc traffic the
-// ROADMAP's "BigInt/allocation overhaul" item measured as the dominant
-// tail. The kernels here are destination-passing instead: callers hand in
-// `LimbSpan` views of existing magnitudes (no copy, either representation)
-// and raw output buffers carved from a per-thread bump arena, and the
-// result is committed back into the BigInt's retained capacity in one
-// place. In steady state an arithmetic loop performs zero heap allocations.
+// The exact kernels (the cone's integer mat-vecs, the rational RREF)
+// execute millions of short BigInt operations whose operands hover around
+// a steady-state size. Before this layer existed, every such operation
+// copied its operands into fresh `std::vector` limb buffers and allocated
+// another one for the result — the malloc traffic the ROADMAP's
+// "BigInt/allocation overhaul" item measured as the dominant tail. The
+// kernels here are destination-passing instead: callers hand in `LimbSpan`
+// views of existing magnitudes (no copy, either representation) and raw
+// output buffers carved from a per-thread bump arena, and the result is
+// committed back into the BigInt's retained capacity in one place. In
+// steady state an arithmetic loop performs zero heap allocations.
 //
 // Ownership rules:
 //  - `LimbSpan` never owns; it is valid as long as the underlying BigInt

@@ -130,6 +130,9 @@ TEST_P(BigIntDiffTest, ModNearDomainEdge) {
           << a << " mod " << m << " gave " << residue;
     }
   }
+  // Negative values and zero land in [0, m).
+  EXPECT_EQ(BigInt(-3).Mod(7), 4u);
+  EXPECT_EQ(BigInt(0).Mod(7), 0u);
   // The contract excludes 0 and anything >= 2^63.
   BigInt v(12345);
   EXPECT_THROW(v.Mod(0), std::domain_error);

@@ -14,6 +14,7 @@
 #include "query/cq.h"
 #include "structs/canonical.h"
 #include "structs/generator.h"
+#include "test_instances.h"
 #include "test_matrices.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -21,20 +22,7 @@
 namespace bagdet {
 namespace {
 
-/// Builds a random boolean query body: a disjoint union of 1–2 random
-/// connected components with 1–3 elements each, over the given schema.
-/// (Two components per query already exercise multi-dimensional W while
-/// keeping the counterexample BigInt sizes — which grow with k = |W| —
-/// within test-time budgets.)
-Structure RandomQueryBody(const std::shared_ptr<Schema>& schema, Rng* rng) {
-  Structure body(schema);
-  std::size_t components = 1 + rng->Below(2);
-  for (std::size_t c = 0; c < components; ++c) {
-    body = DisjointUnion(
-        body, RandomConnectedStructure(schema, 1 + rng->Below(3), rng, 2, 3));
-  }
-  return body;
-}
+using testinst::RandomQueryBody;
 
 class DeterminacyPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
  protected:

@@ -64,6 +64,19 @@ TEST(MatTest, FromColumnsAndRows) {
   EXPECT_EQ(Mat::FromRows(cols).At(0, 1), Q(2));
 }
 
+TEST(MatStorageTest, SwapRowsAndReserve) {
+  Mat m{{Q(1), Q(2)}, {Q(3), Q(4)}, {Q(5), Q(6)}};
+  m.SwapRows(0, 2);
+  EXPECT_EQ(m.Row(0), (Vec{Q(5), Q(6)}));
+  EXPECT_EQ(m.Row(2), (Vec{Q(1), Q(2)}));
+  m.SwapRows(1, 1);  // No-op.
+  EXPECT_EQ(m.Row(1), (Vec{Q(3), Q(4)}));
+  Mat n;
+  n.Reserve(4, 4);  // Shape unchanged; just capacity.
+  EXPECT_EQ(n.rows(), 0u);
+  EXPECT_EQ(n.cols(), 0u);
+}
+
 TEST(GaussTest, RrefRankAndPivots) {
   Mat m{{Q(1), Q(2), Q(3)}, {Q(2), Q(4), Q(6)}, {Q(1), Q(0), Q(1)}};
   Rref rref = ReduceToRref(m);
@@ -190,12 +203,59 @@ TEST(GaussTest, VandermondeNonsingularLemma46) {
   EXPECT_TRUE(IsNonsingular(with_zero));
 }
 
+TEST(ExactConsumersTest, SolveNullspaceSpanAndWitnessStayExact) {
+  // End to end through the RREF consumers on a huge-entry system.
+  Rng rng(11);
+  Mat a(4, 4);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      a.At(r, c) = Rational(testmat::RandomBig(&rng, 5));
+    }
+  }
+  Vec b(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    b[i] = Rational(testmat::RandomBig(&rng, 5));
+  }
+
+  std::optional<Vec> x = SolveLinearSystem(a, b);
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(a.Apply(*x), b);
+
+  // Rank-2 matrix: nullspace vectors must be genuine exact kernel vectors.
+  Mat low(4, 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    low.At(0, c) = a.At(0, c);
+    low.At(1, c) = a.At(1, c);
+    low.At(2, c) = a.At(0, c) + a.At(1, c);
+    low.At(3, c) = a.At(0, c) - a.At(1, c);
+  }
+  std::vector<Vec> kernel = NullspaceBasis(low);
+  EXPECT_EQ(kernel.size(), 2u);
+  for (const Vec& v : kernel) {
+    EXPECT_TRUE(low.Apply(v).IsZero());
+  }
+
+  std::vector<Vec> basis = {low.Row(0), low.Row(1)};
+  SpanMembership in = TestSpanMembership(basis, low.Row(2));
+  ASSERT_TRUE(in.in_span);
+  EXPECT_EQ(basis[0] * in.coefficients[0] + basis[1] * in.coefficients[1],
+            low.Row(2));
+
+  std::optional<Vec> witness = OrthogonalWitness(basis, a.Row(2));
+  if (witness.has_value()) {
+    EXPECT_TRUE(witness->IsIntegral());
+    EXPECT_TRUE(Vec::Dot(*witness, basis[0]).IsZero());
+    EXPECT_TRUE(Vec::Dot(*witness, basis[1]).IsZero());
+    EXPECT_FALSE(Vec::Dot(*witness, a.Row(2)).IsZero());
+  }
+}
+
 class GaussRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 /// The reference inverse on one square matrix: nullopt exactly when the
-/// matrix is singular (cross-checked against the Bareiss determinant and
-/// the modular nonsingularity probe), otherwise a two-sided inverse that
-/// also agrees with SolveLinearSystem.
+/// matrix is singular (cross-checked against Determinant and
+/// IsNonsingular), otherwise a two-sided inverse that also agrees with
+/// SolveLinearSystem.
 void ExpectInverseConsistent(const Mat& m, Rng* rng) {
   const std::size_t n = m.rows();
   std::optional<Mat> inv = testmat::GaussJordanInverse(m);

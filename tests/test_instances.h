@@ -1,10 +1,12 @@
-// Shared instances shaped like perfbench's `decide_views` workload, for the
-// view-relevance tests and the containment bench. q is a disjoint union of
-// three connected components over R, S and ternary T. Every view is a
-// disjoint union of copies of q's classes, and a quarter of the views also
-// carry one marker component that uses U, a relation q never mentions, so
-// exactly those views are irrelevant (Definition 25). Header-only, no gtest
-// dependency, so bench/ can include it too.
+// Shared test instances. RandomQueryBody draws the small random query bodies
+// of the certificate differential and deadline property tests.
+// MakeViewsShaped builds instances shaped like perfbench's `decide_views`
+// workload, for the view-relevance tests and the containment bench: q is a
+// disjoint union of three connected components over R, S and ternary T.
+// Every view is a disjoint union of copies of q's classes, and a quarter of
+// the views also carry one marker component that uses U, a relation q
+// never mentions, so exactly those views are irrelevant (Definition 25).
+// Header-only, no gtest dependency, so bench/ can include it too.
 
 #ifndef BAGDET_TESTS_TEST_INSTANCES_H_
 #define BAGDET_TESTS_TEST_INSTANCES_H_
@@ -17,11 +19,28 @@
 #include <vector>
 
 #include "query/cq.h"
+#include "structs/generator.h"
 #include "structs/structure.h"
 #include "util/rng.h"
 
 namespace bagdet {
 namespace testinst {
+
+/// Builds a random boolean query body: a disjoint union of 1–2 random
+/// connected components with 1–3 elements each, over the given schema.
+/// (Two components per query already exercise multi-dimensional W while
+/// keeping the counterexample BigInt sizes — which grow with k = |W| —
+/// within test-time budgets.)
+inline Structure RandomQueryBody(const std::shared_ptr<Schema>& schema,
+                                 Rng* rng) {
+  Structure body(schema);
+  std::size_t components = 1 + rng->Below(2);
+  for (std::size_t c = 0; c < components; ++c) {
+    body = DisjointUnion(
+        body, RandomConnectedStructure(schema, 1 + rng->Below(3), rng, 2, 3));
+  }
+  return body;
+}
 
 struct ViewsShapedInstance {
   ConjunctiveQuery query;

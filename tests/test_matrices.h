@@ -1,9 +1,10 @@
 // Shared deterministic random-matrix generators for the linear-algebra
-// property suites and benchmarks. One copy, so the suites and the benches
-// cannot drift apart (an earlier bench copy drew low-rank combination
-// coefficients per *entry*, which silently destroys the linear dependence
-// the benchmark claims to measure). Header-only, no gtest dependency, so
-// bench/ can include it too.
+// property suites and benchmarks, and the reference kernels those suites
+// check against (a rational Gauss–Jordan inverse, a word-size rank mod p).
+// One copy, so the suites and the benches cannot drift apart (an earlier
+// bench copy drew low-rank combination coefficients per *entry*, which
+// silently destroys the linear dependence the benchmark claims to
+// measure). Header-only, no gtest dependency, so bench/ can include it too.
 
 #ifndef BAGDET_TESTS_TEST_MATRICES_H_
 #define BAGDET_TESTS_TEST_MATRICES_H_
@@ -17,7 +18,6 @@
 
 #include "linalg/gauss.h"
 #include "linalg/matrix.h"
-#include "linalg/modular_solve.h"
 #include "util/bigint.h"
 #include "util/rational.h"
 #include "util/rng.h"
@@ -204,6 +204,64 @@ inline std::optional<Mat> GaussJordanInverse(const Mat& m) {
   return inverse;
 }
 
+/// The primes the RREF property suite reduces modulo to bound a rank from
+/// below: the four largest primes below 2^62, descending.
+inline constexpr std::uint64_t kCertificatePrimes[] = {
+    4611686018427387847ull, 4611686018427387817ull, 4611686018427387787ull,
+    4611686018427387761ull};
+
+/// Rank of `m` modulo the odd prime `p` < 2^62, or std::nullopt when p
+/// divides a denominator. Wherever it is defined, rank_p(A) <= rank_Q(A),
+/// so the result is a certified lower bound on the rank over Q.
+inline std::optional<std::size_t> RankModPrime(const Mat& m,
+                                               std::uint64_t p) {
+  const auto mul = [p](std::uint64_t a, std::uint64_t b) {
+    return static_cast<std::uint64_t>(static_cast<unsigned __int128>(a) * b %
+                                      p);
+  };
+  const auto inverse = [&mul, p](std::uint64_t a) {  // Fermat: a^(p-2).
+    std::uint64_t result = 1;
+    for (std::uint64_t e = p - 2; e != 0; e >>= 1) {
+      if (e & 1) result = mul(result, a);
+      a = mul(a, a);
+    }
+    return result;
+  };
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  std::vector<std::uint64_t> a(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const Rational& q = m.At(r, c);
+      a[r * cols + c] = q.numerator().Mod(p);
+      if (q.denominator().IsOne()) continue;
+      const std::uint64_t den = q.denominator().Mod(p);
+      if (den == 0) return std::nullopt;
+      a[r * cols + c] = mul(a[r * cols + c], inverse(den));
+    }
+  }
+  std::size_t rank = 0;
+  for (std::size_t col = 0; col < cols && rank < rows; ++col) {
+    std::size_t found = rank;
+    while (found < rows && a[found * cols + col] == 0) ++found;
+    if (found == rows) continue;
+    for (std::size_t c = 0; c < cols; ++c) {
+      std::swap(a[found * cols + c], a[rank * cols + c]);
+    }
+    const std::uint64_t pivot_inverse = inverse(a[rank * cols + col]);
+    for (std::size_t r = rank + 1; r < rows; ++r) {
+      const std::uint64_t factor = mul(a[r * cols + col], pivot_inverse);
+      for (std::size_t c = col; c < cols; ++c) {
+        // a[r][c] -= factor * a[rank][c], kept in [0, p).
+        a[r * cols + c] = (a[r * cols + c] + p -
+                           mul(factor, a[rank * cols + c])) % p;
+      }
+    }
+    ++rank;
+  }
+  return rank;
+}
+
 /// The seven entry/shape regimes the RREF property suites sweep (60
 /// matrices each: 420 in all). Every regime includes rank-deficient
 /// shapes (wide/tall dims) by construction.
@@ -215,7 +273,7 @@ enum class Regime {
   kHugeLowRank,     // Rank-deficient AND huge: the RREF holds genuinely
                     // large rationals (not just an identity).
   kDuplicatedRows,  // Underdetermined: repeated/scaled rows.
-  kUnluckyPrime,    // Every entry divisible by ModularPrimes()[0].
+  kUnluckyPrime,    // Every entry divisible by kCertificatePrimes[0].
 };
 
 inline constexpr Regime kAllRegimes[] = {
@@ -286,9 +344,9 @@ inline Mat RandomRegimeMatrix(Regime regime, Rng* rng) {
       }
       break;
     case Regime::kUnluckyPrime: {
-      // Identically zero mod the probes' first prime.
+      // Identically zero mod the first certificate prime.
       const Rational p(
-          BigInt(static_cast<std::int64_t>(ModularPrimes()[0])));
+          BigInt(static_cast<std::int64_t>(kCertificatePrimes[0])));
       for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t c = 0; c < cols; ++c) {
           m.At(r, c) = p * Rational(rng->Range(-4, 4));
