@@ -65,18 +65,15 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   }
 
   // Step 2: T must exceed every |hom(w_i, s(1)_j)| so the counts become
-  // distinct radix-T numerals (Observation 45). The k × |S(1)| counts are
-  // independent — batch them through the cache's thread pool. They are
-  // also exactly the leaf counts the evaluation matrix needs below, so the
-  // batch doubles as a cache warm-up.
-  std::vector<std::pair<StructureRef, StructureRef>> scan;
-  scan.reserve(k * step1_refs.size());
-  for (StructureRef wi : w_refs) {
-    for (StructureRef s1 : step1_refs) scan.emplace_back(wi, s1);
-  }
+  // distinct radix-T numerals (Observation 45). These k × |S(1)| counts are
+  // exactly the leaf counts the evaluation matrix needs below, so the scan
+  // doubles as a cache warm-up.
   BigInt t_radix(2);
-  for (const BigInt& count : cache->BatchCountHoms(scan)) {
-    if (count >= t_radix) t_radix = count + BigInt(1);
+  for (StructureRef wi : w_refs) {
+    for (StructureRef s1 : step1_refs) {
+      BigInt count = cache->Count(wi, s1);
+      if (count >= t_radix) t_radix = count + BigInt(1);
+    }
   }
   basis.radix = t_radix;
   std::vector<StructureExpr> terms;
@@ -99,7 +96,7 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   // Evaluation matrix M(i,j) = |hom(w_i, s_j)| via Lemma 4:
   //   |hom(w_i, s_j)| = |hom(w_i, s(2))|^j · |hom(w_i, q)|.
   // The symbolic evaluation's leaf counts were all warmed by the Step-2
-  // batch, so each row costs only the BigInt radix arithmetic.
+  // scan, so each row costs only the BigInt radix arithmetic.
   basis.evaluation = Mat(k, k);
   std::vector<BigInt> nodes;  // b_i = |hom(w_i, s(2))|.
   nodes.reserve(k);

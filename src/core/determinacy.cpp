@@ -171,17 +171,6 @@ DeterminacyResult DecideBagDeterminacy(std::vector<ConjunctiveQuery> views,
   DeterminacyResult result;
   result.analysis = AnalyzeInstance(std::move(views), std::move(query),
                                     options.shared_hom_cache);
-  // Per-request budget knobs only apply to a private cache: a shared one is
-  // configured once by its owner and must not be resized mid-stream.
-  if (options.shared_hom_cache == nullptr) {
-    if (options.hom_cache_max_entries != 0) {
-      result.analysis.hom_cache->set_max_entries(
-          options.hom_cache_max_entries);
-    }
-    if (options.hom_cache_max_bytes != 0) {
-      result.analysis.hom_cache->set_max_bytes(options.hom_cache_max_bytes);
-    }
-  }
 
   // Main Lemma 31: V0 ⟶bag q ⇔ q⃗ ∈ span{v⃗ : v ∈ V}.
   SpanMembership span = TestSpanMembership(result.analysis.view_vectors,

@@ -117,17 +117,10 @@ struct DeterminacyOptions {
   /// (it can be exponentially larger than the decision itself).
   bool want_counterexample = true;
   DistinguisherOptions distinguisher;
-  /// Budgets applied to the analysis's shared HomCache before the heavy
-  /// pipeline stages run (0 keeps the library default). Counts are pure
-  /// functions of the interned classes, so eviction pressure can never
-  /// change a verdict — the end-to-end property suite pins exactly that
-  /// with a tiny budget, and serving tiers can bound long-lived decisions.
-  /// Ignored when `shared_hom_cache` is set: a fleet-wide cache's budgets
-  /// belong to its owner, not to any one request.
-  std::size_t hom_cache_max_entries = 0;
-  std::size_t hom_cache_max_bytes = 0;
   /// Persistent pool + count cache to run this decision against (see
-  /// AnalyzeInstance). Null = private per-call pool and cache.
+  /// AnalyzeInstance). Null = private per-call pool and cache. Its budgets
+  /// belong to its owner: counts are pure functions of the interned
+  /// classes, so eviction pressure never changes a verdict.
   std::shared_ptr<HomCache> shared_hom_cache;
 };
 
@@ -202,7 +195,7 @@ GovernedDecision DecideBagDeterminacyGoverned(
 /// analysis are supported — each thread just needs its own `data` object
 /// (Structure's lazy positional index is per-object and unsynchronized).
 /// Count entries are LRU-bounded by the cache's budgets; each distinct
-/// small `data` (≤ HomCache::max_intern_domain() elements) stays interned
+/// small `data` (≤ HomCache::kMaxInternDomain elements) stays interned
 /// for the analysis's lifetime, larger data bypasses the cache entirely.
 bool CheckWitnessOnStructure(const InstanceAnalysis& analysis,
                              const DeterminacyWitness& witness,

@@ -22,13 +22,11 @@
 //     functions of the interned classes, so eviction never changes results.
 //   * Hit/miss/eviction/footprint counters are exposed through stats() for
 //     tests and benchmarks; ResetStats() rezeroes the traffic counters.
-//   * Count/CountPair/BatchCountHoms are safe to call concurrently from
-//     any number of threads (the underlying StructurePool is sharded and
-//     its published representatives immutable). ComponentRefs is also
-//     thread-safe; the returned reference stays valid until the cache is
-//     destroyed (the memo never erases entries).
-//   * BatchCountHoms fans uncached pairs out over the shared global
-//     ThreadPool (util/thread_pool.h) instead of spawning ad-hoc threads.
+//   * Count is safe to call concurrently from any number of threads (the
+//     underlying StructurePool is sharded and its published representatives
+//     immutable); a miss is counted serially on the calling thread.
+//     ComponentRefs is also thread-safe; the returned reference stays valid
+//     until the cache is destroyed (the memo never erases entries).
 
 #ifndef BAGDET_HOM_HOM_CACHE_H_
 #define BAGDET_HOM_HOM_CACHE_H_
@@ -38,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "structs/pool.h"
@@ -60,19 +57,20 @@ class HomCache {
   /// Interns `s` into the shared pool and returns its class ref.
   StructureRef Intern(const Structure& s) { return pool_->Intern(s); }
 
-  /// |hom(from, to)| for two interned classes, memoized.
+  /// |hom(from, to)| for two interned classes: the cached count, or one
+  /// serial CountHoms on the calling thread, cached. Thread-safe.
   BigInt Count(StructureRef from, StructureRef to);
 
   /// |hom(from, to)| for an interned source class against an arbitrary
   /// target (interned via its cached canonical form; targets beyond
-  /// max_intern_domain() bypass the cache like the two-Structure overload).
+  /// kMaxInternDomain bypass the cache like the two-Structure overload).
   BigInt Count(StructureRef from, const Structure& to);
 
   /// |hom(from, to)| for arbitrary structures: decomposes `from` into
   /// connected components, interns each side, and multiplies memoized
   /// per-component counts (Lemma 4(5)). Targets with more than
-  /// `max_intern_domain()` elements bypass the cache (canonicalizing a
-  /// huge target would cost more than it saves).
+  /// kMaxInternDomain elements bypass the cache (canonicalizing a huge
+  /// target would cost more than it saves).
   BigInt Count(const Structure& from, const Structure& to);
 
   /// Pool refs of the connected components of `s`, in component order —
@@ -83,18 +81,8 @@ class HomCache {
   /// this memo — it holds refs, not counts, and stays tiny).
   const std::vector<StructureRef>& ComponentRefs(const Structure& s);
 
-  /// Counts every pair, memoized, fanning uncached pairs out through the
-  /// global ThreadPool — one serial count per pair, so this is where hom
-  /// counting goes parallel. `num_threads` caps the parallelism (0 = the
-  /// pool's full width; 1 = serial on the calling thread). Results are in
-  /// input order.
-  std::vector<BigInt> BatchCountHoms(
-      const std::vector<std::pair<StructureRef, StructureRef>>& pairs,
-      std::size_t num_threads = 0);
-
-  /// Cache-bypass threshold for Count(Structure, Structure) targets.
-  std::size_t max_intern_domain() const { return max_intern_domain_; }
-  void set_max_intern_domain(std::size_t n) { max_intern_domain_ = n; }
+  /// Cache-bypass threshold for Count targets, in domain elements.
+  static constexpr std::size_t kMaxInternDomain = 256;
 
   /// Retention budgets for the memoized counts, enforced per shard with
   /// LRU eviction (each of the kNumShards shards gets an equal slice; the
@@ -153,17 +141,12 @@ class HomCache {
     std::size_t bytes = 0;
   };
 
-  /// Returns the cached count or computes-and-caches it (one serial
-  /// CountHoms per miss). Thread-safe.
-  BigInt CountPair(StructureRef from, StructureRef to);
-
   /// Inserts under the shard lock and evicts LRU entries past the budgets.
   void InsertCount(CountShard& shard, std::uint64_t key, const BigInt& count);
 
   std::shared_ptr<StructurePool> pool_;
-  std::size_t max_intern_domain_ = 256;
   // Retention budgets at the serving-tier scale; set_max_entries/bytes
-  // (DeterminacyOptions, ServiceOptions) override them.
+  // override them.
   std::size_t max_entries_ = std::size_t{1} << 20;
   std::size_t max_bytes_ = std::size_t{256} << 20;
 

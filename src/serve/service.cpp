@@ -57,15 +57,8 @@ DeterminacyService::DeterminacyService(ServiceOptions options)
 DeterminacyService::~DeterminacyService() { Shutdown(); }
 
 std::shared_ptr<HomCache> DeterminacyService::NewGenerationLocked() const {
-  auto pool = std::make_shared<StructurePool>(options_.pool_first_block);
-  auto cache = std::make_shared<HomCache>(std::move(pool));
-  if (options_.hom_cache_max_entries != 0) {
-    cache->set_max_entries(options_.hom_cache_max_entries);
-  }
-  if (options_.hom_cache_max_bytes != 0) {
-    cache->set_max_bytes(options_.hom_cache_max_bytes);
-  }
-  return cache;
+  return std::make_shared<HomCache>(
+      std::make_shared<StructurePool>(options_.pool_first_block));
 }
 
 void DeterminacyService::MaybeRotateLocked() {
@@ -162,8 +155,6 @@ ServeResponse DeterminacyService::Execute(
     ExecContext exec(request.limits);
     DeterminacyOptions opts = request.options;
     opts.shared_hom_cache = cache;
-    opts.hom_cache_max_entries = 0;
-    opts.hom_cache_max_bytes = 0;
     opts.want_counterexample = want_cx && !tier_degraded;
 
     ExecStatus status;

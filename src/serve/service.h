@@ -3,8 +3,8 @@
 // Everything below core/determinacy.h optimizes one decision; a deployment
 // answers a *stream* of decide/containment/counterexample requests over
 // overlapping view sets under heavy traffic. DeterminacyService is the
-// serving layer that turns the governed-execution primitives (PR 6) and
-// the concurrent pipeline (PR 4/7) into a system that stays up when
+// serving layer that turns the governed-execution primitives and the
+// thread-safe shared pool and cache into a system that stays up when
 // requests are oversized, malformed, bursty, or faulted:
 //
 //   admission → execute → (retry | degrade) → respond, or shed.
@@ -16,10 +16,10 @@
 //     always terminate in exactly one typed outcome.
 //   * Execution: each request runs as a governed decision
 //     (DecideBagDeterminacyGoverned) under its own per-request ExecLimits
-//     on a fixed set of service runner threads; the kernels inside each
-//     decision fan out onto the shared global ThreadPool exactly as in the
-//     direct API. A no-limits single request through the service is
-//     bit-identical to a direct DecideBagDeterminacy call.
+//     on a fixed set of service runner threads, and each decision runs
+//     entirely on its runner thread, so parallelism is across requests.
+//     A no-limits single request through the service is bit-identical to
+//     a direct DecideBagDeterminacy call.
 //   * Retry: transiently-declined work — a native or failpoint-injected
 //     std::bad_alloc ("alloc" / "serve/dispatch" kernels) — retries with
 //     bounded exponential backoff. Deterministic declines (a memory budget
@@ -134,9 +134,6 @@ struct ServiceOptions {
   std::uint32_t backoff_base_ms = 1;
   /// Permit the decide-without-counterexample degradation tier.
   bool allow_degraded = true;
-  /// Fleet-wide HomCache budgets (0 keeps the library defaults).
-  std::size_t hom_cache_max_entries = 0;
-  std::size_t hom_cache_max_bytes = 0;
   /// Generation rotation thresholds for the persistent pool: retire the
   /// generation once it retains more classes / projected bytes than this.
   std::size_t pool_max_classes = std::size_t{1} << 16;

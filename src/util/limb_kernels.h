@@ -80,11 +80,10 @@ std::size_t SubInPlace(std::uint32_t* a, std::size_t n, LimbSpan b);
 
 class ArenaScope;
 
-/// dst := a * b (schoolbook below the Karatsuba threshold, Karatsuba above,
-/// recursion scratch carved from `scratch`). Capacity required:
-/// a.size + b.size. `dst` must not alias `a` or `b`. Returns trimmed size.
-std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b,
-                    ArenaScope& scratch);
+/// dst := a * b, schoolbook (the pipeline's operands stay a few limbs
+/// wide). Capacity required: a.size + b.size. `dst` must not alias `a` or
+/// `b`. Returns trimmed size.
+std::size_t MulInto(std::uint32_t* dst, LimbSpan a, LimbSpan b);
 
 struct DivModSpans {
   LimbSpan quotient;

@@ -1,15 +1,16 @@
 // bagdet: shared fixed-size thread pool.
 //
-// One pool of worker threads serves every parallel stage of the pipeline —
-// HomCache::BatchCountHoms' independent (from, to) counts and the Hilbert
-// layer's summary materialization — instead of each layer
-// spawning and joining its own std::threads per call. The design is
-// deliberately simple: a mutex-guarded FIFO task queue (no work stealing;
-// pipeline tasks are coarse enough that queue contention is noise), plus a
-// ParallelFor helper in which the *calling thread always participates*, so
-// a nested ParallelFor issued from inside a worker can never deadlock:
-// even when every worker is busy, the caller drains the whole index range
-// itself.
+// One pool of worker threads serves the library's one parallel stage, the
+// Hilbert layer's summary materialization (hilbert/search.cpp), instead of
+// spawning and joining std::threads per call. Determinacy decisions never
+// use it: each runs on its calling thread, and a service parallelizes
+// across requests (serve/service.h sizes its runners by DefaultThreadCount).
+// The design is deliberately simple: a mutex-guarded FIFO task queue (no
+// work stealing; tasks are coarse enough that queue contention is noise),
+// plus a ParallelFor helper in which the *calling thread always
+// participates*, so a nested ParallelFor issued from inside a worker can
+// never deadlock: even when every worker is busy, the caller drains the
+// whole index range itself.
 //
 // The global pool is sized to DefaultThreadCount() - 1 workers (the caller
 // is the remaining lane): std::thread::hardware_concurrency(), overridden

@@ -1,8 +1,8 @@
 // Randomized BigInt differentials targeting the spots where the limb
 // kernels change algorithm or carry shape:
 //
-//   * the Karatsuba threshold boundary (31/32/33-limb operands straddle the
-//     schoolbook cutover, including the unbalanced split recursion),
+//   * wide products (31/32/33-limb operands, balanced and unbalanced, where
+//     a carry runs the full width of the schoolbook kernel),
 //   * the Knuth algorithm D q_hat correction (dividends engineered with
 //     saturated high limbs so the initial two-limb estimate overshoots),
 //   * Mod against the 2^63 domain edge,
@@ -41,11 +41,10 @@ BigInt ExactLimbs(Rng* rng, int limbs) {
 
 class BigIntDiffTest : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(BigIntDiffTest, KaratsubaThresholdBoundary) {
+TEST_P(BigIntDiffTest, WideProductsAroundThirtyTwoLimbs) {
   Rng rng(GetParam());
-  // Threshold is 32 limbs: 31x31 is schoolbook, 32x32 is Karatsuba's first
-  // recursion, 33x33 exercises the odd split. Mixed sizes hit the padding
-  // of the shorter operand.
+  // 31, 32 and 33 limbs: even and odd widths, and mixed sizes for
+  // unbalanced operands.
   const int sizes[] = {31, 32, 33};
   for (int iter = 0; iter < 4 * DiffIters(); ++iter) {
     for (int na : sizes) {
@@ -54,7 +53,7 @@ TEST_P(BigIntDiffTest, KaratsubaThresholdBoundary) {
         BigInt b = ExactLimbs(&rng, nb);
         BigInt c = testmat::RandomBig(&rng, 3);
         BigInt p = a * b;
-        // Commutativity and distributivity tie the Karatsuba path to the
+        // Commutativity and distributivity tie the product to the
         // (simple, carry-chain) addition path.
         EXPECT_EQ(p, b * a);
         EXPECT_EQ(a * (b + c), p + a * c);

@@ -242,7 +242,7 @@ TEST(HomCacheTest, DeduplicatesRepeatedAndIsomorphicQueries) {
   EXPECT_EQ(after.hits, 2u);
 }
 
-TEST(HomCacheTest, BatchMatchesSerialCounts) {
+TEST(HomCacheTest, RefPairCountsMatchUncachedCounts) {
   Rng rng(41);
   auto schema = MixedSchema();
   HomCache cache;
@@ -253,13 +253,18 @@ TEST(HomCacheTest, BatchMatchesSerialCounts) {
     StructureRef to = cache.Intern(RandomStructure(schema, 4, &rng));
     pairs.emplace_back(from, to);
   }
-  pairs.push_back(pairs.front());  // Duplicates must be consistent.
-  std::vector<BigInt> batch = cache.BatchCountHoms(pairs, 4);
-  ASSERT_EQ(batch.size(), pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(batch[i], CountHoms(cache.pool().At(pairs[i].first),
-                                  cache.pool().At(pairs[i].second)));
+  for (const auto& [from, to] : pairs) {
+    EXPECT_EQ(cache.Count(from, to),
+              CountHoms(cache.pool().At(from), cache.pool().At(to)));
   }
+  // A repeated pair is served from the cache, with the same count.
+  const HomCache::Stats before = cache.stats();
+  const auto& [from, to] = pairs.front();
+  EXPECT_EQ(cache.Count(from, to),
+            CountHoms(cache.pool().At(from), cache.pool().At(to)));
+  const HomCache::Stats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(HomCacheTest, DisconnectedSourcesUseComponentEntries) {

@@ -108,9 +108,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminacyPropertyTest,
 // determined bit, witness exponents, counterexample coordinates — must be
 // bit-identical under every thread-pool width and under hom-cache
 // eviction pressure. This is the property the whole concurrent serving
-// core promises (order-preserving fan-outs, prime-order CRT folds, counts
-// as pure functions of interned classes); a cache- or parallelism-
-// dependent verdict is a soundness bug, not a flake.
+// core promises (each decision runs on its calling thread, and counts are
+// pure functions of interned classes); a cache- or parallelism-dependent
+// verdict is a soundness bug, not a flake.
 TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
   // Unconditional restore: an ASSERT mid-loop must not leave the
   // process-wide pool pinned at this test's width for the rest of the
@@ -144,7 +144,10 @@ TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
     for (const Config& config : configs) {
       SetGlobalThreadPoolSize(config.threads);
       DeterminacyOptions options;
-      options.hom_cache_max_entries = config.cache_entries;
+      if (config.cache_entries != 0) {
+        options.shared_hom_cache = std::make_shared<HomCache>();
+        options.shared_hom_cache->set_max_entries(config.cache_entries);
+      }
       results.push_back(DecideBagDeterminacy(views, q, options));
     }
 

@@ -113,9 +113,13 @@ TEST(RrefPropertyTest, ReducesThe420SeededMatricesToTheirRref) {
       const Mat m = testmat::RandomRegimeMatrix(regime, &rng);
       const Rref rref = ReduceToRref(m);
       ExpectIsRrefOf(m, rref);
-      EXPECT_EQ(Rank(m), rref.rank);
-      if (m.rows() == m.cols()) {
-        EXPECT_EQ(IsNonsingular(m), rref.rank == m.rows());
+      // Rank and IsNonsingular re-run this same elimination, so one
+      // matrix per regime is enough (linalg_test pins both further).
+      if (i == 0) {
+        EXPECT_EQ(Rank(m), rref.rank);
+        if (m.rows() == m.cols()) {
+          EXPECT_EQ(IsNonsingular(m), rref.rank == m.rows());
+        }
       }
       ++checked;
     }
