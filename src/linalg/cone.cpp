@@ -105,6 +105,9 @@ SimplicialCone::GroupedPoint SimplicialCone::Group(
   if (point.size() != n || group_of.size() != n) {
     throw std::invalid_argument("SimplicialCone: point size mismatch");
   }
+  for (std::size_t g : group_of) {
+    if (g >= groups) throw std::invalid_argument("SimplicialCone: bad group");
+  }
   std::vector<BigInt> scaled(n);
   for (std::size_t i = 0; i < n; ++i) scaled[i] = column_scales_[i] * point[i];
   GroupedPoint out;
@@ -129,6 +132,7 @@ std::optional<Vec> SimplicialCone::NonNegativeCombination(
   }
   std::vector<BigInt> numerators(n);
   for (std::size_t j = 0; j < n; ++j) {
+    CheckRow();
     for (std::size_t g = 0; g < groups; ++g) {
       numerators[j].MulAdd(point.columns[j * groups + g], weights[g]);
     }
@@ -137,6 +141,8 @@ std::optional<Vec> SimplicialCone::NonNegativeCombination(
   const BigInt divisor = lcm_ * scale.denominator();
   Vec coords(n);
   for (std::size_t j = 0; j < n; ++j) {
+    // Each normalization is a gcd of integers that grow with the walk.
+    CheckRow();
     coords[j] = Rational(numerators[j] * scale.numerator(), divisor);
   }
   return coords;
@@ -155,6 +161,7 @@ Vec SimplicialCone::Coordinates(const Vec& point) const {
   const BigInt divisor = lcm_ * scale;
   Vec coords(whole.columns.size());
   for (std::size_t j = 0; j < coords.size(); ++j) {
+    CheckRow();
     coords[j] = Rational(std::move(whole.columns[j]), divisor);
   }
   return coords;

@@ -20,9 +20,11 @@
 // (NonNegativeCombination, the Lemma-57 walk's step) cost one product per
 // row and group. Only this class knows the format.
 //
-// Governance: the constructor's structure check and Lagrange build, and
-// the coordinate mat-vecs (Coordinates, Group), force a deadline check on
-// the current ExecContext once per row, kernel "linalg.cone".
+// Governance: the constructor's structure check and Lagrange build, the
+// coordinate mat-vecs (Coordinates, Group), the walk's reweighting
+// (NonNegativeCombination) and the normalization of coordinates force a
+// deadline check on the current ExecContext once per row, kernel
+// "linalg.cone".
 
 #ifndef BAGDET_LINALG_CONE_H_
 #define BAGDET_LINALG_CONE_H_
@@ -61,7 +63,8 @@ class SimplicialCone {
   Vec Coordinates(const Vec& point) const;
 
   /// Splits the integer vector `point` by `group_of[i]` < `groups` and
-  /// computes each part's scaled coordinates.
+  /// computes each part's scaled coordinates. Throws std::invalid_argument
+  /// on a size mismatch or a class >= `groups`.
   GroupedPoint Group(const std::vector<BigInt>& point,
                      const std::vector<std::size_t>& group_of,
                      std::size_t groups) const;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 #include "util/failpoint.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 
@@ -40,6 +40,19 @@ const char* ServeOutcomeName(ServeOutcome outcome) {
       return "declined";
   }
   return "unknown";
+}
+
+std::size_t DefaultThreadCount() {
+  // Capped so a typo'd or overflowing value cannot start millions of
+  // runner threads.
+  if (const char* env = std::getenv("BAGDET_NUM_THREADS")) {
+    char* end = nullptr;
+    const long value = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && value > 0) {
+      return std::min(static_cast<std::size_t>(value), kMaxThreadCount);
+    }
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 DeterminacyService::DeterminacyService(ServiceOptions options)

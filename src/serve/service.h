@@ -121,9 +121,16 @@ struct ServeResponse {
   std::uint64_t generation = 0; ///< Pool/cache generation that served this.
 };
 
+/// Upper bound on a BAGDET_NUM_THREADS width.
+inline constexpr std::size_t kMaxThreadCount = 256;
+
+/// Default runner count: BAGDET_NUM_THREADS when set to a positive integer
+/// (capped at kMaxThreadCount), else std::thread::hardware_concurrency()
+/// (minimum 1).
+std::size_t DefaultThreadCount();
+
 struct ServiceOptions {
-  /// Concurrent request executions (runner threads). 0 = one per lane of
-  /// the default thread count (DefaultThreadCount()).
+  /// Concurrent request executions (runner threads). 0 = DefaultThreadCount().
   std::size_t max_concurrent = 0;
   /// Bound on *waiting* requests (beyond the ones executing). Submissions
   /// past it shed. Clamped to >= 1.

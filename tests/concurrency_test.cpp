@@ -1,5 +1,5 @@
 // Stress and differential tests for the concurrent serving core: the
-// ThreadPool/ParallelFor primitive, the sharded StructurePool under racing
+// service's default runner count, the sharded StructurePool under racing
 // interns, and the size-bounded HomCache (budgets respected, evicted
 // entries recompute identically). Threads here are
 // raw std::threads deliberately oversubscribing the host so the races are
@@ -18,10 +18,10 @@
 
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
+#include "serve/service.h"
 #include "structs/pool.h"
 #include "structs/structure.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 namespace {
@@ -59,67 +59,11 @@ Structure PermutedCopy(const Structure& s, Rng* rng) {
   return s.MapDomain(perm, n);
 }
 
-// --- ThreadPool ------------------------------------------------------------
+// --- DefaultThreadCount ----------------------------------------------------
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> visits(kN);
-  pool.ParallelFor(kN, [&](std::size_t i) {
-    visits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForWorksWithZeroWorkersAndEmptyRange) {
-  ThreadPool pool(0);
-  std::atomic<std::size_t> sum{0};
-  pool.ParallelFor(0, [&](std::size_t) { sum.fetch_add(1); });
-  EXPECT_EQ(sum.load(), 0u);
-  pool.ParallelFor(17, [&](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 17u * 16u / 2u);
-}
-
-TEST(ThreadPoolTest, ParallelForPropagatesTheFirstException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.ParallelFor(64,
-                       [&](std::size_t i) {
-                         if (i % 7 == 3) {
-                           throw std::runtime_error("injected failure");
-                         }
-                       }),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> total{0};
-  pool.ParallelFor(8, [&](std::size_t) {
-    // Inner loop issued from inside a pool lane: the caller self-drains,
-    // so this completes even with every worker busy in the outer loop.
-    pool.ParallelFor(8, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), 64u);
-}
-
-TEST(ThreadPoolTest, MaxParallelismOneIsServedByTheCallingThread) {
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(
-      32, [&](std::size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); },
-      /*max_parallelism=*/1);
-}
-
-// --- Sharded StructurePool --------------------------------------------------
-
-TEST(ThreadPoolTest, DefaultThreadCountCapsTheEnvironmentWidth) {
-  // Reads the width only; never builds the global pool, so an absurd
-  // value cannot start threads here. The caller's setting is restored.
+TEST(DefaultThreadCountTest, CapsTheEnvironmentWidth) {
+  // Reads the width only; never starts a service, so an absurd value
+  // cannot start threads here. The caller's setting is restored.
   const char* saved = std::getenv("BAGDET_NUM_THREADS");
   const std::string restore = saved != nullptr ? saved : "";
   ASSERT_EQ(::unsetenv("BAGDET_NUM_THREADS"), 0);
@@ -146,6 +90,8 @@ TEST(ThreadPoolTest, DefaultThreadCountCapsTheEnvironmentWidth) {
     ::unsetenv("BAGDET_NUM_THREADS");
   }
 }
+
+// --- Sharded StructurePool --------------------------------------------------
 
 TEST(ConcurrentPoolTest, RacedInternsOfIsomorphicCopiesYieldOneRef) {
   auto schema = GraphSchema();

@@ -165,6 +165,18 @@ TEST(ConeTest, IntegerMembershipMatchesReferenceInverse) {
   }
 }
 
+TEST(ConeTest, GroupRejectsAClassOutsideItsGroups) {
+  const SimplicialCone cone(Mat{{Q(1), Q(1)}, {Q(1), Q(2)}});
+  const std::vector<BigInt> u = {BigInt(3), BigInt(5)};
+  EXPECT_NO_THROW(cone.Group(u, {0, 1}, 2));
+  // Class 2 of 2 groups would land in the next row's column, or past the
+  // end of the columns on the last row.
+  EXPECT_THROW(cone.Group(u, {0, 2}, 2), std::invalid_argument);
+  EXPECT_THROW(cone.Group(u, {2, 0}, 2), std::invalid_argument);
+  EXPECT_THROW(cone.Group(u, {0, 0}, 0), std::invalid_argument);
+  EXPECT_THROW(cone.Group(u, {0}, 1), std::invalid_argument);
+}
+
 // --- The exponent-class walk vs perturbing and a full mat-vec ------------
 
 /// The Lemma-57 walk as it reads in the paper: perturb p to t^z ∘ p, then

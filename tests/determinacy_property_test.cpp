@@ -17,7 +17,6 @@
 #include "test_instances.h"
 #include "test_matrices.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace bagdet {
 namespace {
@@ -106,29 +105,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminacyPropertyTest,
 
 // End-to-end invariance: for seeded random instances, the full verdict —
 // determined bit, witness exponents, counterexample coordinates — must be
-// bit-identical under every thread-pool width and under hom-cache
-// eviction pressure. This is the property the whole concurrent serving
-// core promises (each decision runs on its calling thread, and counts are
-// pure functions of interned classes); a cache- or parallelism-dependent
-// verdict is a soundness bug, not a flake.
-TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
-  // Unconditional restore: an ASSERT mid-loop must not leave the
-  // process-wide pool pinned at this test's width for the rest of the
-  // binary.
-  struct PoolRestorer {
-    ~PoolRestorer() { SetGlobalThreadPoolSize(0); }
-  } restore_pool;
-
+// bit-identical under hom-cache eviction pressure. This is the property
+// the whole concurrent serving core promises (each decision runs on its
+// calling thread, and counts are pure functions of interned classes); a
+// cache-dependent verdict is a soundness bug, not a flake.
+TEST(DeterminacyInvarianceTest, VerdictInvariantUnderCacheBudgets) {
   auto schema = std::make_shared<Schema>();
   schema->AddRelation("E", 2);
   Rng rng(77001);
 
-  struct Config {
-    std::size_t threads;
-    std::size_t cache_entries;  // 0 = unbounded library default.
-  };
-  // A one-entry cache evicts on every insert.
-  const Config configs[] = {{1, 0}, {4, 0}, {1, 16}, {4, 16}, {1, 1}, {4, 1}};
+  // 0 = unbounded library default; a one-entry cache evicts on every
+  // insert.
+  const std::size_t cache_budgets[] = {0, 16, 1};
 
   for (int iter = 0; iter < 5; ++iter) {
     ConjunctiveQuery q =
@@ -141,12 +129,11 @@ TEST(DeterminacyInvarianceTest, VerdictInvariantUnderThreadsAndCacheBudgets) {
     }
 
     std::vector<DeterminacyResult> results;
-    for (const Config& config : configs) {
-      SetGlobalThreadPoolSize(config.threads);
+    for (std::size_t budget : cache_budgets) {
       DeterminacyOptions options;
-      if (config.cache_entries != 0) {
+      if (budget != 0) {
         options.shared_hom_cache = std::make_shared<HomCache>();
-        options.shared_hom_cache->set_max_entries(config.cache_entries);
+        options.shared_hom_cache->set_max_entries(budget);
       }
       results.push_back(DecideBagDeterminacy(views, q, options));
     }

@@ -9,7 +9,8 @@
 //     consistent and subsequent requests are unaffected;
 //   * with no limits, governed runs are bit-identical to ungoverned ones;
 //   * deadline overshoot is bounded by the checkpoint sampling interval,
-//     not by the kernel's total runtime.
+//     not by the kernel's total runtime;
+//   * the Theorem-2 refutation search obeys the same contract.
 //
 // Fault-injection cases need a -DBAGDET_FAILPOINTS=ON build and GTEST_SKIP
 // otherwise. BAGDET_DIFF_ITERS scales the rerun-identical loops (nightly
@@ -28,6 +29,7 @@
 #include "core/counterexample.h"
 #include "core/determinacy.h"
 #include "core/distinguisher.h"
+#include "hilbert/search.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
 #include "linalg/cone.h"
@@ -627,6 +629,63 @@ TEST_F(GovernedTest, ExactKernelsAndWalkTripOnCancellation) {
   });
 }
 
+// --- The Theorem-2 refutation search ----------------------------------------
+
+/// The Lemma-63 instance x0^2 - 4 = 0: a witness exists within bound 4.
+Theorem2Reduction HilbertReduction() {
+  return ReduceToDeterminacy(DiophantineInstance::Parse("x0^2 - 4"));
+}
+
+void ExpectSameWitness(const NonDeterminacyWitness& a,
+                       const NonDeterminacyWitness& b) {
+  EXPECT_EQ(a.d, b.d);
+  EXPECT_EQ(a.d_prime, b.d_prime);
+  EXPECT_EQ(a.view_counts, b.view_counts);
+  EXPECT_EQ(a.query_count_d, b.query_count_d);
+  EXPECT_EQ(a.query_count_d_prime, b.query_count_d_prime);
+}
+
+TEST_F(GovernedTest, HilbertSearchGridTripsAMemoryBudget) {
+  const Theorem2Reduction red = HilbertReduction();
+  ExecContext exec{ExecLimits{/*deadline_ms=*/0, /*max_memory_bytes=*/1}};
+  ExecStatus status;
+  auto value =
+      RunGoverned(exec, &status, [&] { return SearchNonDeterminacy(red, 4); });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_EQ(status.code, ExecCode::kResourceExhausted);
+  EXPECT_EQ(status.kernel, "hilbert.search");
+  // The grid's ScopedCharge released its bytes during the unwind.
+  EXPECT_EQ(exec.bytes_charged(), 0u);
+}
+
+TEST_F(GovernedTest, HilbertSearchStopsWhenCancelledUpFront) {
+  const Theorem2Reduction red = HilbertReduction();
+  ExecContext exec{ExecLimits{}};
+  exec.RequestCancel();
+  ExecStatus status;
+  auto value =
+      RunGoverned(exec, &status, [&] { return SearchNonDeterminacy(red, 4); });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_EQ(status.code, ExecCode::kCancelled);
+  EXPECT_EQ(status.kernel, "hilbert.search");
+}
+
+TEST_F(GovernedTest, HilbertSearchGovernedWitnessMatchesUngoverned) {
+  const Theorem2Reduction red = HilbertReduction();
+  const std::optional<NonDeterminacyWitness> baseline =
+      SearchNonDeterminacy(red, 4);
+  ASSERT_TRUE(baseline.has_value());
+  ExecContext exec{ExecLimits{/*deadline_ms=*/60000,
+                              /*max_memory_bytes=*/std::uint64_t{1} << 30}};
+  ExecStatus status;
+  auto value =
+      RunGoverned(exec, &status, [&] { return SearchNonDeterminacy(red, 4); });
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_TRUE(value.has_value() && value->has_value());
+  ExpectSameWitness(**value, *baseline);
+  EXPECT_EQ(exec.bytes_charged(), 0u);
+}
+
 // --- Failpoint registry ------------------------------------------------------
 
 TEST_F(GovernedTest, RegistryCountsAndDisarms) {
@@ -715,6 +774,34 @@ TEST_F(GovernedTest, InjectedCancelMidDp) {
     // Clean unwind: the disarmed rerun is bit-identical.
     EXPECT_EQ(CountHoms(from, to), baseline);
   }
+}
+
+TEST_F(GovernedTest, InjectedCancelMidHilbertFill) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "requires -DBAGDET_FAILPOINTS=ON";
+  }
+  const Theorem2Reduction red = HilbertReduction();
+  const std::optional<NonDeterminacyWitness> baseline =
+      SearchNonDeterminacy(red, 4);
+  ASSERT_TRUE(baseline.has_value());
+  failpoint::Config cfg;
+  cfg.action = failpoint::Action::kCancel;
+  cfg.hit_on = 3;
+  failpoint::Arm("hilbert/entry", cfg);
+  ExecContext exec{ExecLimits{}};
+  ExecStatus status;
+  auto value =
+      RunGoverned(exec, &status, [&] { return SearchNonDeterminacy(red, 4); });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_EQ(status.code, ExecCode::kCancelled);
+  EXPECT_EQ(failpoint::HitCount("hilbert/entry"), 3u);
+  EXPECT_EQ(exec.bytes_charged(), 0u);
+  failpoint::DisarmAll();
+  // Clean unwind: the disarmed rerun finds the same witness.
+  const std::optional<NonDeterminacyWitness> rerun =
+      SearchNonDeterminacy(red, 4);
+  ASSERT_TRUE(rerun.has_value());
+  ExpectSameWitness(*rerun, *baseline);
 }
 
 TEST_F(GovernedTest, InjectedCancelMidCanonicalSearch) {
