@@ -103,7 +103,10 @@ GoodBasisOutcome TryBuildGoodBasis(const InstanceAnalysis& analysis,
   bool positive = true;
   for (std::size_t i = 0; i < k; ++i) {
     BigInt base_count = CountHomsSymbolic(w[i], basis.step2, cache);
-    BigInt q_count = cache->Count(w_refs[i], analysis.query.FrozenBody());
+    // Count into the term's own copy of q's body, not the caller's shared
+    // body: a q too large to intern is counted directly, and that builds
+    // the target's lazy index (see query/cq.h).
+    BigInt q_count = cache->Count(w_refs[i], query_term.base());
     positive = positive && q_count.Sign() > 0;
     BigInt power(1);
     for (std::size_t j = 0; j < k; ++j) {

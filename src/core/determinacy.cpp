@@ -1,5 +1,6 @@
 #include "core/determinacy.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -94,28 +95,51 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
     analysis.hom_cache = std::make_shared<HomCache>(analysis.pool);
   }
 
+  // q's component classes, interned first: the relevance test below maps
+  // into their pool representatives, never into q's own frozen body, so a
+  // decision reads nothing from the caller's shared bodies but their
+  // admission-time canonical forms.
+  StructurePool& pool = *analysis.pool;
+  HomCache& cache = *analysis.hom_cache;
+  const Structure& body = analysis.query.FrozenBody();
+  const std::vector<StructureRef>& q_refs = cache.ComponentRefs(body);
+  std::vector<StructureRef> q_classes;  // Distinct, in first-seen order.
+  for (StructureRef ref : q_refs) {
+    if (std::find(q_classes.begin(), q_classes.end(), ref) ==
+        q_classes.end()) {
+      q_classes.push_back(ref);
+    }
+  }
+
   // Definition 25: V = { v : q ⊆set v }, i.e. hom(v, q) ≠ ∅. By Lemma 4(5)
   // that holds iff every component of v maps into q, so relevance is decided
   // per component class: q's own classes map by inclusion, and each foreign
-  // class costs one ExistsHom, memoized by canonical key rather than by pool
-  // ref so that an irrelevant view interns nothing.
-  const Structure& body = analysis.query.FrozenBody();
+  // class costs one search, memoized by canonical key rather than by pool
+  // ref so that an irrelevant view interns nothing. A connected component's
+  // image is connected, so it maps into q iff it maps into one of q's
+  // components. Every key is assembled from hashes cached on the frozen
+  // bodies and this one schema digest.
+  const std::uint64_t digest = SchemaDigest(schema);
+  const StructureCanonicalData& body_data = body.CanonicalData();
   std::unordered_map<CanonicalKey, bool, CanonicalKeyHash> maps_into_q;
-  for (const std::string& cert : body.CanonicalData().component_certificates) {
-    maps_into_q.emplace(ComponentKeyFromCertificate(schema, cert), true);
+  for (std::size_t c = 0; c < body_data.component_certificates.size(); ++c) {
+    maps_into_q.emplace(ComponentKey(body_data, c, digest), true);
   }
   for (std::size_t i = 0; i < analysis.views.size(); ++i) {
     const Structure& frozen = analysis.views[i].FrozenBody();
-    const std::vector<std::string>& certs =
-        frozen.CanonicalData().component_certificates;
-    std::vector<Structure> components;  // Index-aligned with `certs`.
+    const StructureCanonicalData& data = frozen.CanonicalData();
+    std::vector<Structure> components;  // Index-aligned with `data`.
     bool relevant = true;
-    for (std::size_t c = 0; relevant && c < certs.size(); ++c) {
-      auto [it, unseen] = maps_into_q.try_emplace(
-          ComponentKeyFromCertificate(schema, certs[c]), false);
+    for (std::size_t c = 0;
+         relevant && c < data.component_certificates.size(); ++c) {
+      auto [it, unseen] =
+          maps_into_q.try_emplace(ComponentKey(data, c, digest), false);
       if (unseen) {
         if (components.empty()) components = ConnectedComponents(frozen);
-        it->second = ExistsHom(components[c], body);
+        it->second = std::any_of(
+            q_classes.begin(), q_classes.end(), [&](StructureRef ref) {
+              return ExistsHom(components[c], pool.At(ref));
+            });
         ++analysis.relevance_searches;
       }
       relevant = it->second;
@@ -127,40 +151,35 @@ InstanceAnalysis AnalyzeInstance(std::vector<ConjunctiveQuery> views,
   // Canonical-form interning replaces the seed path's pairwise IsIsomorphic
   // scan: a component is known iff its pool ref already has a basis index.
   // ComponentRefs memoizes the decomposition per frozen body, reusing the
-  // certificates cached on the body itself.
-  StructurePool& pool = *analysis.pool;
-  HomCache& cache = *analysis.hom_cache;
+  // certificates cached on the body itself. refs_of[0] belongs to q and
+  // refs_of[1 + j] to the j-th relevant view.
+  std::vector<const std::vector<StructureRef>*> refs_of;
+  refs_of.reserve(1 + analysis.relevant_views.size());
+  refs_of.push_back(&q_refs);
+  for (std::size_t i : analysis.relevant_views) {
+    refs_of.push_back(&cache.ComponentRefs(analysis.views[i].FrozenBody()));
+  }
   std::vector<std::size_t> index_of_ref;  // ref → basis index (dense refs).
   constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
-  auto add_components = [&](const Structure& frozen) {
-    for (StructureRef ref : cache.ComponentRefs(frozen)) {
+  for (const std::vector<StructureRef>* refs : refs_of) {
+    for (StructureRef ref : *refs) {
       if (index_of_ref.size() <= ref) index_of_ref.resize(ref + 1, kNoIndex);
       if (index_of_ref[ref] != kNoIndex) continue;
       index_of_ref[ref] = analysis.basis_queries.size();
       analysis.basis_queries.push_back(pool.At(ref));
       analysis.basis_refs.push_back(ref);
     }
-  };
-  add_components(analysis.query.FrozenBody());
-  for (std::size_t i : analysis.relevant_views) {
-    add_components(analysis.views[i].FrozenBody());
   }
 
   // Definition 29: multiplicity vectors over W, again by interned ref.
-  auto vectorize = [&](const Structure& frozen) {
+  auto vectorize = [&](const std::vector<StructureRef>& refs) {
     Vec v(analysis.basis_queries.size());
-    for (StructureRef ref : cache.ComponentRefs(frozen)) {
-      if (ref >= index_of_ref.size() || index_of_ref[ref] == kNoIndex) {
-        throw std::logic_error(
-            "AnalyzeInstance: component missing from the interned basis");
-      }
-      v[index_of_ref[ref]] += Rational(1);
-    }
+    for (StructureRef ref : refs) v[index_of_ref[ref]] += Rational(1);
     return v;
   };
-  analysis.query_vector = vectorize(analysis.query.FrozenBody());
-  for (std::size_t i : analysis.relevant_views) {
-    analysis.view_vectors.push_back(vectorize(analysis.views[i].FrozenBody()));
+  analysis.query_vector = vectorize(*refs_of[0]);
+  for (std::size_t j = 1; j < refs_of.size(); ++j) {
+    analysis.view_vectors.push_back(vectorize(*refs_of[j]));
   }
   return analysis;
 }

@@ -77,6 +77,12 @@ struct InstanceAnalysis {
 /// not boolean, uses a nullary atom (the Theorem-3 machinery requires
 /// components with nonempty domains; see DESIGN.md), or schemas differ.
 ///
+/// The queries are taken by value, but a ConjunctiveQuery is a handle to a
+/// shared immutable body (query/cq.h): passing copies costs one
+/// reference-count bump per query, and the analysis reads the caller's
+/// frozen bodies with their admission-time canonical forms and cached key
+/// hashes in place. Only the schema digest is computed per call.
+///
 /// `shared_cache` (optional) supplies a persistent HomCache — and with it
 /// the StructurePool it wraps — owned by a long-lived caller such as
 /// DeterminacyService: components intern into the shared pool and counts
@@ -148,7 +154,8 @@ struct DeterminacyResult {
   std::string Summary() const;
 };
 
-/// Decides whether V0 ⟶bag q (Theorem 3).
+/// Decides whether V0 ⟶bag q (Theorem 3). Like AnalyzeInstance, it shares
+/// the callers' query bodies rather than copying them.
 DeterminacyResult DecideBagDeterminacy(
     std::vector<ConjunctiveQuery> views, ConjunctiveQuery query,
     const DeterminacyOptions& options = DeterminacyOptions());

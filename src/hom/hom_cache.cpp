@@ -92,7 +92,9 @@ BigInt HomCache::Count(const Structure& from, const Structure& to) {
 
 const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
   const StructureCanonicalData& data = s.CanonicalData();
-  CanonicalKey whole_key = CanonicalKeyOf(s);
+  // One digest serves the whole-structure key and every component key.
+  const std::uint64_t digest = SchemaDigest(s.schema());
+  CanonicalKey whole_key = CanonicalKeyOf(s, digest);
   std::lock_guard<std::mutex> lock(components_mu_);
   auto it = components_of_.find(whole_key);
   if (it != components_of_.end()) return it->second;
@@ -104,8 +106,7 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
   std::vector<Structure> components;
   bool decomposed = false;
   for (std::size_t i = 0; i < data.component_certificates.size(); ++i) {
-    CanonicalKey key = ComponentKeyFromCertificate(
-        s.schema(), data.component_certificates[i]);
+    CanonicalKey key = ComponentKey(data, i, digest);
     StructureRef ref = pool_->FindKey(key);
     if (ref == kInvalidStructureRef) {
       if (!decomposed) {
@@ -115,10 +116,12 @@ const std::vector<StructureRef>& HomCache::ComponentRefs(const Structure& s) {
       // Seed the representative's canonical cache so later interns of the
       // pool's own structures (FindDistinguisher, symbolic leaves) are
       // pure hash probes. A single component's whole-structure certificate
-      // is exactly the component key's byte form.
+      // is exactly the component key's byte form, so it also reuses the
+      // component key's cached hash.
+      const std::uint64_t hash = data.component_key_hashes[i];
       components[i].CacheCanonicalData(
           std::make_shared<const StructureCanonicalData>(StructureCanonicalData{
-              key.bytes, {data.component_certificates[i]}}));
+              key.bytes, hash, {data.component_certificates[i]}, {hash}}));
       ref = pool_->InternWithKey(key, std::move(components[i]));
     }
     refs.push_back(ref);

@@ -75,8 +75,9 @@ class HomCache {
 
   /// Pool refs of the connected components of `s`, in component order —
   /// memoized per canonical class, and built from the structure's cached
-  /// per-component certificates, so repeated decompositions of pipeline
-  /// objects never re-run the labeling search. Thread-safe; the reference
+  /// per-component certificates and key hashes (one schema digest per
+  /// call), so repeated decompositions of pipeline objects never re-run
+  /// the labeling search or re-hash a certificate. Thread-safe; the reference
   /// is valid until the cache is destroyed (entries are never evicted from
   /// this memo — it holds refs, not counts, and stays tiny).
   const std::vector<StructureRef>& ComponentRefs(const Structure& s);

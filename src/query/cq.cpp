@@ -8,46 +8,57 @@
 
 namespace bagdet {
 
+ConjunctiveQuery::ConjunctiveQuery() {
+  static const std::shared_ptr<const Body> kEmpty = [] {
+    auto body = std::make_shared<Body>();
+    body->frozen.CanonicalData();
+    return body;
+  }();
+  body_ = kEmpty;
+}
+
 ConjunctiveQuery::ConjunctiveQuery(std::string name,
                                    std::shared_ptr<const Schema> schema,
                                    std::vector<std::string> var_names,
                                    std::size_t num_free,
-                                   std::vector<QueryAtom> atoms)
-    : name_(std::move(name)),
-      schema_(std::move(schema)),
-      var_names_(std::move(var_names)),
-      num_free_(num_free),
-      atoms_(std::move(atoms)) {
-  if (num_free_ > var_names_.size()) {
+                                   std::vector<QueryAtom> atoms) {
+  if (num_free > var_names.size()) {
     throw std::invalid_argument("ConjunctiveQuery: more free vars than vars");
   }
-  frozen_ = Structure(schema_, var_names_.size());
-  for (const QueryAtom& atom : atoms_) {
-    if (atom.args.size() != schema_->Arity(atom.relation)) {
+  auto body = std::make_shared<Body>();
+  body->frozen = Structure(schema, var_names.size());
+  for (const QueryAtom& atom : atoms) {
+    if (atom.args.size() != schema->Arity(atom.relation)) {
       throw std::invalid_argument("ConjunctiveQuery: atom arity mismatch in " +
-                                  schema_->Name(atom.relation));
+                                  schema->Name(atom.relation));
     }
     Tuple tuple(atom.args.size());
     for (std::size_t i = 0; i < atom.args.size(); ++i) {
-      if (atom.args[i] >= var_names_.size()) {
+      if (atom.args[i] >= var_names.size()) {
         throw std::invalid_argument("ConjunctiveQuery: atom uses unknown var");
       }
       tuple[i] = atom.args[i];
     }
-    frozen_.AddFact(atom.relation, std::move(tuple));
+    body->frozen.AddFact(atom.relation, std::move(tuple));
   }
-  // Boolean queries are the determinacy pipeline's currency; canonicalize
-  // the frozen body once at admission so every later copy (queries are
-  // passed by value through the pipeline) shares the cached form and the
-  // hot path stays free of labeling searches.
-  if (IsBoolean()) frozen_.CanonicalData();
+  body->name = std::move(name);
+  body->schema = std::move(schema);
+  body->var_names = std::move(var_names);
+  body->num_free = num_free;
+  body->atoms = std::move(atoms);
+  // Boolean queries are the determinacy pipeline's currency: canonicalize
+  // the frozen body once, before any copy can share it, so decisions on
+  // any thread only read the cached form (see the contract in cq.h).
+  if (num_free == 0) body->frozen.CanonicalData();
+  body_ = std::move(body);
 }
 
 AnswerBag ConjunctiveQuery::Evaluate(const Structure& data) const {
+  const std::size_t num_free = NumFreeVars();
   AnswerBag answers;
-  EnumerateHoms(frozen_, data, [&](const std::vector<Element>& assignment) {
-    Tuple head(num_free_);
-    for (std::size_t i = 0; i < num_free_; ++i) head[i] = assignment[i];
+  EnumerateHoms(FrozenBody(), data, [&](const std::vector<Element>& a) {
+    Tuple head(num_free);
+    for (std::size_t i = 0; i < num_free; ++i) head[i] = a[i];
     answers[head] += BigInt(1);
     return true;
   });
@@ -55,27 +66,28 @@ AnswerBag ConjunctiveQuery::Evaluate(const Structure& data) const {
 }
 
 BigInt ConjunctiveQuery::CountHomomorphisms(const Structure& data) const {
-  return CountHoms(frozen_, data);
+  return CountHoms(FrozenBody(), data);
 }
 
 std::string ConjunctiveQuery::ToString() const {
+  const Body& b = *body_;
   std::ostringstream os;
-  os << name_ << '(';
-  for (std::size_t i = 0; i < num_free_; ++i) {
+  os << b.name << '(';
+  for (std::size_t i = 0; i < b.num_free; ++i) {
     if (i != 0) os << ',';
-    os << var_names_[i];
+    os << b.var_names[i];
   }
   os << ") :- ";
-  for (std::size_t i = 0; i < atoms_.size(); ++i) {
+  for (std::size_t i = 0; i < b.atoms.size(); ++i) {
     if (i != 0) os << ", ";
-    os << schema_->Name(atoms_[i].relation) << '(';
-    for (std::size_t j = 0; j < atoms_[i].args.size(); ++j) {
+    os << b.schema->Name(b.atoms[i].relation) << '(';
+    for (std::size_t j = 0; j < b.atoms[i].args.size(); ++j) {
       if (j != 0) os << ',';
-      os << var_names_[atoms_[i].args[j]];
+      os << b.var_names[b.atoms[i].args[j]];
     }
     os << ')';
   }
-  if (atoms_.empty()) os << "true";
+  if (b.atoms.empty()) os << "true";
   return os.str();
 }
 

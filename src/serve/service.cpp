@@ -175,7 +175,8 @@ ServeResponse DeterminacyService::Execute(
     try {
       BAGDET_FAILPOINT("serve/dispatch");
       // Copies in: a faulted attempt must leave the request intact for
-      // the retry, so the views/query are never moved from.
+      // the retry, so the views/query are never moved from. Queries share
+      // their immutable bodies, so the copy only bumps reference counts.
       GovernedDecision decision = DecideBagDeterminacyGoverned(
           request.views, request.query, opts, exec);
       status = std::move(decision.status);

@@ -1,6 +1,7 @@
 #include "structs/canonical.h"
 
 #include <algorithm>
+#include <array>
 
 #include "structs/refinement.h"
 #include "util/exec_context.h"
@@ -11,42 +12,41 @@ namespace bagdet {
 
 namespace {
 
-void AppendU32(std::string* out, std::uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint64_t ReadU32(const std::string& bytes, std::size_t offset) {
-  return static_cast<std::uint32_t>(
-      (static_cast<unsigned char>(bytes[offset])) |
-      (static_cast<unsigned char>(bytes[offset + 1]) << 8) |
-      (static_cast<unsigned char>(bytes[offset + 2]) << 16) |
-      (static_cast<unsigned char>(bytes[offset + 3]) << 24));
-}
-
-/// 64-bit digest of the schema (names and arities, in relation-id order),
-/// so keys of structures over different schemas never compare equal.
-std::uint64_t SchemaDigest(const Schema& schema) {
-  std::uint64_t h = 0x8c6f5d4b3a291807ull;
-  for (RelationId r = 0; r < schema.NumRelations(); ++r) {
-    h = MixHash(h, schema.Arity(r));
-    for (char ch : schema.Name(r)) {
-      h = MixHash(h, static_cast<unsigned char>(ch));
-    }
-    h = MixHash(h, 0xff);  // Name terminator.
+void PutU32(char* out, std::uint32_t v) {
+  for (std::size_t b = 0; b < 4; ++b) {
+    out[b] = static_cast<char>((v >> (8 * b)) & 0xff);
   }
-  return h;
 }
 
-std::uint64_t HashBytes(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a.
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
+void AppendU32(std::string* out, std::uint32_t v) {
+  char bytes[4];
+  PutU32(bytes, v);
+  out->append(bytes, 4);
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// Continues an FNV-1a hash `h` over `n` bytes.
+std::uint64_t Fnv1a(std::uint64_t h, const char* bytes, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+/// The 12-byte header that frames a component certificate as a
+/// one-component structure certificate: domain size, component count 1,
+/// certificate length (little-endian u32 each, as AppendU32 writes them).
+using ComponentKeyHeader = std::array<char, 12>;
+
+ComponentKeyHeader HeaderOf(const std::string& certificate) {
+  ComponentKeyHeader header;
+  // A component certificate starts with its domain size.
+  std::copy_n(certificate.data(), 4, header.data());
+  PutU32(header.data() + 4, 1);
+  PutU32(header.data() + 8, static_cast<std::uint32_t>(certificate.size()));
+  return header;
 }
 
 /// Serializes the component under the discrete coloring (element e is
@@ -174,23 +174,17 @@ std::string ComponentCertificate(const Structure& component) {
   return best;
 }
 
-CanonicalKey ComponentKeyFromCertificate(const Schema& schema,
-                                         const std::string& certificate) {
-  CanonicalKey key;
-  key.schema_digest = SchemaDigest(schema);
-  // A component certificate starts with its domain size.
-  AppendU32(&key.bytes, static_cast<std::uint32_t>(ReadU32(certificate, 0)));
-  AppendU32(&key.bytes, 1);
-  AppendU32(&key.bytes, static_cast<std::uint32_t>(certificate.size()));
-  key.bytes += certificate;
-  key.hash = MixHash(HashBytes(key.bytes), key.schema_digest);
-  return key;
-}
-
 StructureCanonicalData ComputeCanonicalData(const Structure& s) {
   StructureCanonicalData data;
   for (const Structure& component : ConnectedComponents(s)) {
     data.component_certificates.push_back(ComponentCertificate(component));
+  }
+  data.component_key_hashes.reserve(data.component_certificates.size());
+  for (const std::string& cert : data.component_certificates) {
+    const ComponentKeyHeader header = HeaderOf(cert);
+    data.component_key_hashes.push_back(
+        Fnv1a(Fnv1a(kFnvOffset, header.data(), header.size()), cert.data(),
+              cert.size()));
   }
   std::vector<std::string> sorted = data.component_certificates;
   std::sort(sorted.begin(), sorted.end());
@@ -200,14 +194,46 @@ StructureCanonicalData ComputeCanonicalData(const Structure& s) {
     AppendU32(&data.certificate, static_cast<std::uint32_t>(cert.size()));
     data.certificate += cert;
   }
+  data.certificate_hash =
+      Fnv1a(kFnvOffset, data.certificate.data(), data.certificate.size());
   return data;
 }
 
+std::uint64_t SchemaDigest(const Schema& schema) {
+  std::uint64_t h = 0x8c6f5d4b3a291807ull;
+  for (RelationId r = 0; r < schema.NumRelations(); ++r) {
+    h = MixHash(h, schema.Arity(r));
+    for (char ch : schema.Name(r)) {
+      h = MixHash(h, static_cast<unsigned char>(ch));
+    }
+    h = MixHash(h, 0xff);  // Name terminator.
+  }
+  return h;
+}
+
 CanonicalKey CanonicalKeyOf(const Structure& s) {
+  return CanonicalKeyOf(s, SchemaDigest(s.schema()));
+}
+
+CanonicalKey CanonicalKeyOf(const Structure& s, std::uint64_t schema_digest) {
+  const StructureCanonicalData& data = s.CanonicalData();
   CanonicalKey key;
-  key.schema_digest = SchemaDigest(s.schema());
-  key.bytes = s.CanonicalData().certificate;
-  key.hash = MixHash(HashBytes(key.bytes), key.schema_digest);
+  key.schema_digest = schema_digest;
+  key.bytes = data.certificate;
+  key.hash = MixHash(data.certificate_hash, schema_digest);
+  return key;
+}
+
+CanonicalKey ComponentKey(const StructureCanonicalData& data, std::size_t i,
+                          std::uint64_t schema_digest) {
+  const std::string& cert = data.component_certificates[i];
+  CanonicalKey key;
+  key.schema_digest = schema_digest;
+  const ComponentKeyHeader header = HeaderOf(cert);
+  key.bytes.reserve(header.size() + cert.size());
+  key.bytes.append(header.data(), header.size());
+  key.bytes += cert;
+  key.hash = MixHash(data.component_key_hashes[i], schema_digest);
   return key;
 }
 

@@ -84,19 +84,40 @@ struct CanonicalKeyHash {
 /// component, index-aligned with ConnectedComponents(s). Interning layers
 /// reuse the per-component certificates so decomposing a structure never
 /// re-runs the search. Deliberately schema-digest-free — see CanonicalKey.
+///
+/// The byte hashes are computed once, with the certificates, so that key
+/// assembly (CanonicalKeyOf, ComponentKey) only mixes a cached hash with
+/// the current schema digest instead of re-hashing the bytes.
 struct StructureCanonicalData {
   std::string certificate;
+  /// FNV-1a hash of `certificate`: the byte hash of CanonicalKeyOf(s).
+  std::uint64_t certificate_hash = 0;
   std::vector<std::string> component_certificates;
+  /// FNV-1a hash of each component key's bytes (the 12-byte header plus
+  /// the component certificate; see ComponentKey), index-aligned with
+  /// `component_certificates`. For a one-component structure this equals
+  /// `certificate_hash`, since its certificate is exactly those bytes.
+  std::vector<std::uint64_t> component_key_hashes;
 };
 
 /// Runs the canonical labeling search. Prefer Structure::CanonicalData(),
 /// which caches this per structure.
 StructureCanonicalData ComputeCanonicalData(const Structure& s);
 
+/// 64-bit digest of the schema's current contents (names and arities, in
+/// relation-id order), so keys over different schemas never compare equal.
+/// Callers that assemble many keys over one schema compute it once and pass
+/// it to the two-argument key builders below.
+std::uint64_t SchemaDigest(const Schema& schema);
+
 /// The canonical key of `s`, assembled from the cached certificate and the
 /// current schema contents: CanonicalKeyOf(a) == CanonicalKeyOf(b) iff
 /// IsIsomorphic(a, b).
 CanonicalKey CanonicalKeyOf(const Structure& s);
+
+/// CanonicalKeyOf(s) with the digest supplied by the caller, who
+/// guarantees schema_digest == SchemaDigest(s.schema()).
+CanonicalKey CanonicalKeyOf(const Structure& s, std::uint64_t schema_digest);
 
 /// Canonical certificate of a single *connected* component (exposed for
 /// tests and for interning layers; ComputeCanonicalData composes these).
@@ -104,11 +125,12 @@ CanonicalKey CanonicalKeyOf(const Structure& s);
 /// component has empty domain.
 std::string ComponentCertificate(const Structure& component);
 
-/// Assembles the full CanonicalKey of a single component from its
-/// certificate (as produced by ComponentCertificate) without re-running
-/// the search; equals CanonicalKeyOf(that component).
-CanonicalKey ComponentKeyFromCertificate(const Schema& schema,
-                                         const std::string& certificate);
+/// The full CanonicalKey of component `i` of a structure whose canonical
+/// form is `data`, built from the cached certificate and hash without
+/// re-running the search or re-hashing: equals CanonicalKeyOf of that
+/// component whenever schema_digest == SchemaDigest(its schema).
+CanonicalKey ComponentKey(const StructureCanonicalData& data, std::size_t i,
+                          std::uint64_t schema_digest);
 
 }  // namespace bagdet
 

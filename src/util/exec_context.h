@@ -284,13 +284,18 @@ class ScopedCharge {
 
 /// Boundary adapter: runs `fn` under `ctx`, converting an ExecInterrupted
 /// unwind (or a native std::bad_alloc) into a typed status. Returns fn()'s
-/// value and kOk, or nullopt with the trip status.
+/// value and kOk, or nullopt with the trip status. One forced check runs
+/// after fn() returns, so a run that ends past its deadline (or after a
+/// cancellation no checkpoint saw) reports kDeadlineExceeded (kCancelled)
+/// in kernel "governed.return" and never kOk, however long its last
+/// unchecked step was.
 template <typename Fn>
 auto RunGoverned(ExecContext& ctx, ExecStatus* status, Fn&& fn)
     -> std::optional<decltype(fn())> {
   ExecScope scope(&ctx);
   try {
     auto value = std::forward<Fn>(fn)();
+    ctx.CheckNow("governed.return");
     *status = ExecStatus{};
     return value;
   } catch (const ExecInterrupted& interrupted) {

@@ -190,6 +190,35 @@ TEST(CanonicalKeyTest, StableUnderSchemaGrowth) {
   EXPECT_NE(CanonicalKeyOf(early), before_growth);
 }
 
+TEST(CanonicalKeyTest, CachedHashKeysMatchFreshKeys) {
+  // Keys assembled from the hashes cached at canonicalization must equal
+  // keys computed from scratch: per component against CanonicalKeyOf of
+  // the decomposed component, and for the whole structure against the
+  // digest-computing overload.
+  Rng rng(2024);
+  for (const auto& schema : {GraphSchema(), MixedSchema()}) {
+    const std::uint64_t digest = SchemaDigest(*schema);
+    for (int trial = 0; trial < 40; ++trial) {
+      Structure s = RandomStructure(schema, 1 + rng.Below(7), &rng);
+      const StructureCanonicalData& data = s.CanonicalData();
+      const std::vector<Structure> components = ConnectedComponents(s);
+      ASSERT_EQ(data.component_certificates.size(), components.size());
+      ASSERT_EQ(data.component_key_hashes.size(), components.size());
+      EXPECT_EQ(CanonicalKeyOf(s, digest), CanonicalKeyOf(s));
+      for (std::size_t i = 0; i < components.size(); ++i) {
+        const CanonicalKey cached = ComponentKey(data, i, digest);
+        const CanonicalKey fresh = CanonicalKeyOf(components[i]);
+        EXPECT_EQ(cached.schema_digest, fresh.schema_digest);
+        EXPECT_EQ(cached.bytes, fresh.bytes) << s.ToString();
+        EXPECT_EQ(cached.hash, fresh.hash) << s.ToString();
+      }
+      if (components.size() == 1) {
+        EXPECT_EQ(data.component_key_hashes[0], data.certificate_hash);
+      }
+    }
+  }
+}
+
 TEST(StructurePoolTest, InternsIsomorphismClasses) {
   Rng rng(7);
   auto schema = GraphSchema();
@@ -282,6 +311,30 @@ TEST(HomCacheTest, DisconnectedSourcesUseComponentEntries) {
   // must not recount anything.
   EXPECT_EQ(cache.Count(DisjointUnion(c3, c4), to), a * b);
   EXPECT_EQ(cache.stats().misses, warm.misses);
+}
+
+TEST(HomCacheTest, SeededRepresentativesCarryFreshHashes) {
+  // ComponentRefs seeds each new representative's canonical cache from the
+  // decomposed structure's certificates and hashes instead of recomputing
+  // them; the seed must equal a fresh canonicalization of the
+  // representative, and the pool key must equal its CanonicalKeyOf.
+  Rng rng(77);
+  for (const auto& schema : {GraphSchema(), MixedSchema()}) {
+    HomCache cache;  // Shared across trials: later trials hit earlier reps.
+    for (int trial = 0; trial < 30; ++trial) {
+      Structure s = RandomStructure(schema, 1 + rng.Below(7), &rng);
+      for (StructureRef ref : cache.ComponentRefs(s)) {
+        const Structure& rep = cache.pool().At(ref);
+        const StructureCanonicalData& seeded = rep.CanonicalData();
+        const StructureCanonicalData fresh = ComputeCanonicalData(rep);
+        EXPECT_EQ(seeded.certificate, fresh.certificate);
+        EXPECT_EQ(seeded.certificate_hash, fresh.certificate_hash);
+        EXPECT_EQ(seeded.component_certificates, fresh.component_certificates);
+        EXPECT_EQ(seeded.component_key_hashes, fresh.component_key_hashes);
+        EXPECT_EQ(cache.pool().KeyOf(ref), CanonicalKeyOf(rep));
+      }
+    }
+  }
 }
 
 TEST(InducedSubstructureGuardTest, RejectsDomainsBeyondMaskWidth) {

@@ -1,7 +1,8 @@
 // Stress and differential tests for the concurrent serving core: the
 // service's default runner count, the sharded StructurePool under racing
-// interns, and the size-bounded HomCache (budgets respected, evicted
-// entries recompute identically). Threads here are
+// interns, the size-bounded HomCache (budgets respected, evicted
+// entries recompute identically), and decisions on copies of one query
+// that share its immutable body. Threads here are
 // raw std::threads deliberately oversubscribing the host so the races are
 // real even on a single-core runner; the TSan CI job runs this whole file.
 
@@ -16,8 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/determinacy.h"
 #include "hom/hom.h"
 #include "hom/hom_cache.h"
+#include "query/parser.h"
 #include "serve/service.h"
 #include "structs/pool.h"
 #include "structs/structure.h"
@@ -251,6 +254,119 @@ TEST(BoundedHomCacheTest, ConcurrentCountsAgreeWithUncachedCounts) {
   const HomCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses,
             kThreads * 20u * static_cast<std::uint64_t>(pairs.size()));
+}
+
+// --- Shared query bodies ---------------------------------------------------
+
+/// Everything observable about a decision, rendered for exact comparison:
+/// the verdict, the witness and, when present, the certificate.
+std::string Fingerprint(const DeterminacyResult& r) {
+  std::string out = r.Summary();
+  if (r.witness.has_value()) {
+    out += "\nwitness";
+    for (std::size_t index : r.witness->view_indices) {
+      out += " " + std::to_string(index);
+    }
+    out += " " + r.witness->exponents.ToString();
+  }
+  if (r.counterexample.has_value()) {
+    const BagCounterexample& cx = *r.counterexample;
+    out += "\nd " + cx.d.ToString() + "\nd' " + cx.d_prime.ToString() +
+           "\nz " + cx.z.ToString() + "\nM " + cx.evaluation_matrix.ToString();
+  }
+  return out;
+}
+
+TEST(SharedQueryBodyTest, ThreadsDecideCopiesOfOneParsedInstance) {
+  // Copies of a query share one immutable body, so every thread below reads
+  // the same frozen structures while deciding its own copy of the instance
+  // against one shared HomCache. Each verdict, witness and certificate
+  // must equal the serial, private-cache result.
+  struct Case {
+    const char* text;
+    bool determined;
+  };
+  // Each instance has views with component classes q lacks, so the
+  // relevance test runs hom searches, not only class lookups.
+  const Case cases[] = {
+      // q = C3 + C4 (directed cycles) and the views C3, C4, C6 and C2:
+      // q(D) = v1(D) · v2(D). C6 maps into C3, so v3 is relevant; C2 maps
+      // into neither cycle, so v4 is not.
+      {"v1() :- E(a,b), E(b,c), E(c,a)\n"
+       "v2() :- E(a,b), E(b,c), E(c,d), E(d,a)\n"
+       "v3() :- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f), E(f,a)\n"
+       "v4() :- E(a,b), E(b,a)\n"
+       "q() :- E(a,b), E(b,c), E(c,a), E(w,x), E(x,y), E(y,z), E(z,w)\n",
+       true},
+      // q = L + C2 (a loop and a 2-cycle), a view L + 2·C2 and a path
+      // view P2, which maps into the loop: over W = {L, C2, P2} q's vector
+      // (1,1,0) is outside the span of (1,2,0) and (0,0,1).
+      {"v1() :- E(a,a), E(x,y), E(y,x), E(u,w), E(w,u)\n"
+       "v2() :- E(x,y), E(y,z)\n"
+       "q() :- E(a,a), E(x,y), E(y,x)\n",
+       false},
+  };
+  struct Parsed {
+    std::vector<ConjunctiveQuery> views;
+    ConjunctiveQuery query;
+  };
+  auto parse = [](const char* text) {
+    Parsed parsed;
+    parsed.views = QueryParser().ParseProgram(text);
+    parsed.query = parsed.views.back();
+    parsed.views.pop_back();
+    return parsed;
+  };
+  constexpr std::size_t kThreads = 8;
+  constexpr int kTrials = 3;
+  constexpr int kRounds = 4;
+  for (const Case& c : cases) {
+    // The serial reference decides a separate parse.
+    const Parsed reference = parse(c.text);
+    const DeterminacyResult serial =
+        DecideBagDeterminacy(reference.views, reference.query);
+    ASSERT_GT(serial.analysis.relevance_searches, 0u);
+    ASSERT_EQ(serial.determined, c.determined) << serial.Summary();
+    ASSERT_EQ(serial.counterexample.has_value(), !c.determined)
+        << serial.Summary();
+    const std::string expected = Fingerprint(serial);
+
+    for (int trial = 0; trial < kTrials; ++trial) {
+      // A fresh parse and cache per trial, and a common start, so the
+      // threads are the first to use the shared bodies: a lazy cache that
+      // a decision built on a body would be built under the race.
+      const Parsed shared = parse(c.text);
+      DeterminacyOptions options;
+      options.shared_hom_cache = std::make_shared<HomCache>();
+      std::vector<std::vector<std::string>> seen(kThreads);
+      std::atomic<int> unshared{0};
+      std::atomic<bool> go{false};
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          while (!go.load()) std::this_thread::yield();
+          for (int round = 0; round < kRounds; ++round) {
+            std::vector<ConjunctiveQuery> views = shared.views;
+            ConjunctiveQuery query = shared.query;
+            if (&query.FrozenBody() != &shared.query.FrozenBody()) {
+              unshared.fetch_add(1);
+            }
+            seen[t].push_back(Fingerprint(DecideBagDeterminacy(
+                std::move(views), std::move(query), options)));
+          }
+        });
+      }
+      go.store(true);
+      for (std::thread& t : threads) t.join();
+      EXPECT_EQ(unshared.load(), 0);
+      for (const std::vector<std::string>& results : seen) {
+        ASSERT_EQ(results.size(), static_cast<std::size_t>(kRounds));
+        for (const std::string& result : results) {
+          EXPECT_EQ(result, expected);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

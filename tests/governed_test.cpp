@@ -162,6 +162,21 @@ TEST_F(GovernedTest, DeadlineTripsBusyLoop) {
   EXPECT_GE(status.elapsed_ms, 20.0);
 }
 
+TEST_F(GovernedTest, CheckpointFreeRunPastItsDeadlineIsNotOk) {
+  // A step with no checkpoint that ends past the deadline: the forced check
+  // after fn() returns reports the overrun instead of kOk.
+  ExecContext exec{ExecLimits{/*deadline_ms=*/5, /*max_memory_bytes=*/0}};
+  ExecStatus status;
+  auto value = RunGoverned(exec, &status, [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    return 7;
+  });
+  EXPECT_FALSE(value.has_value());
+  EXPECT_EQ(status.code, ExecCode::kDeadlineExceeded);
+  EXPECT_EQ(status.kernel, "governed.return");
+  EXPECT_GE(status.elapsed_ms, 5.0);
+}
+
 TEST_F(GovernedTest, CancellationFromAnotherThread) {
   ExecContext exec{ExecLimits{}};
   std::atomic<bool> started{false};

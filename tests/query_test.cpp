@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "query/parser.h"
 
 namespace bagdet {
@@ -78,6 +83,39 @@ TEST(ParserTest, UcqProgramGroupsByName) {
   ASSERT_EQ(ucqs.size(), 2u);
   EXPECT_EQ(ucqs[0].disjuncts().size(), 2u);
   EXPECT_EQ(ucqs[1].disjuncts().size(), 1u);
+}
+
+TEST(CqTest, CopiesShareOneFrozenBody) {
+  QueryParser parser;
+  ConjunctiveQuery q = parser.ParseRule("q() :- R(x,y), S(y,z)");
+  ConjunctiveQuery copy = q;
+  EXPECT_EQ(&copy.FrozenBody(), &q.FrozenBody());
+  std::vector<ConjunctiveQuery> copies(3, q);
+  for (const ConjunctiveQuery& c : copies) {
+    EXPECT_EQ(&c.FrozenBody(), &q.FrozenBody());
+  }
+  ConjunctiveQuery moved = std::move(copy);
+  EXPECT_EQ(&moved.FrozenBody(), &q.FrozenBody());
+  EXPECT_EQ(moved.ToString(), q.ToString());
+}
+
+TEST(CqTest, ConstructorValidatesEveryArgument) {
+  auto schema = std::make_shared<Schema>();
+  const RelationId r = schema->AddRelation("R", 2);
+  // More free variables than variables.
+  EXPECT_THROW(ConjunctiveQuery("q", schema, {"x"}, 2, {}),
+               std::invalid_argument);
+  // Atom arity differs from the relation's.
+  EXPECT_THROW(
+      ConjunctiveQuery("q", schema, {"x", "y"}, 0, {QueryAtom{r, {0}}}),
+      std::invalid_argument);
+  // Atom names a variable outside var_names.
+  EXPECT_THROW(
+      ConjunctiveQuery("q", schema, {"x"}, 0, {QueryAtom{r, {0, 1}}}),
+      std::invalid_argument);
+  ConjunctiveQuery ok("q", schema, {"x", "y"}, 1, {QueryAtom{r, {0, 1}}});
+  EXPECT_EQ(ok.NumFreeVars(), 1u);
+  EXPECT_EQ(ok.FrozenBody().NumFacts(), 1u);
 }
 
 TEST(CqTest, FrozenBodyIdentifiesRepeatedVars) {
